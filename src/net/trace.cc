@@ -44,12 +44,16 @@ void PacketTrace::pop_back() {
   if (size_ > 0) --size_;
 }
 
+std::size_t PacketTrace::grown_capacity(std::size_t need) const {
+  const std::size_t doubled = cap_ == 0 ? 64 : cap_ * 2;
+  return doubled < need ? need : doubled;
+}
+
 void PacketTrace::grow_to(std::size_t need) {
   if (need <= cap_) return;
   // Geometric growth; packets are relocated with a flat copy (they are
   // trivially copyable by static_assert).
-  std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
-  if (new_cap < need) new_cap = need;
+  const std::size_t new_cap = grown_capacity(need);
   auto new_slots = std::make_unique<CapturedPacket[]>(new_cap);
   if (size_ > 0) std::copy_n(slots_.get(), size_, new_slots.get());
   slots_ = std::move(new_slots);

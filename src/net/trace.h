@@ -12,9 +12,8 @@
 // a contiguous arena of them. Growth relocates with a flat copy, consumers
 // read through std::span views, and whole traces move between pipeline
 // stages (simulator -> analyzer -> sink) by pointer swap, never by copying
-// packets. View lifetime rule: spans/indices into the arena stay valid
-// until the next mutating call (append/add/sort_by_time) — demux after any
-// sort, and only then hand out views.
+// packets. View lifetime rule: spans and references into the arena stay
+// valid until the next mutating call (append/add/pop_back/sort_by_time).
 #pragma once
 
 #include <cstdint>
@@ -103,17 +102,25 @@ class PacketTrace {
 
   /// Arena footprint in bytes (capacity, not just size).
   std::size_t capacity_bytes() const { return cap_ * sizeof(CapturedPacket); }
+  /// Arena footprint after one more append(), without allocating — lets a
+  /// memory ledger charge the growth before it happens.
+  std::size_t capacity_bytes_after_append() const {
+    return (size_ == cap_ ? grown_capacity(size_ + 1) : cap_) *
+           sizeof(CapturedPacket);
+  }
 
   /// Stable-sorts by timestamp (pcap files are usually already ordered, but
   /// multi-interface captures may interleave slightly out of order).
-  /// Invalidates any packet *indices* previously derived from this trace —
-  /// sort first, demux after.
+  /// Permutes the arena in place: spans stay addressable but now show the
+  /// sorted order, so sort before handing packets to an analyzer.
   void sort_by_time();
 
   /// Deliberate deep copy of the arena.
   PacketTrace clone() const;
 
  private:
+  /// The growth policy: 64 slots first, then doubling (at least `need`).
+  std::size_t grown_capacity(std::size_t need) const;
   void grow_to(std::size_t need);
 
   std::unique_ptr<CapturedPacket[]> slots_;

@@ -238,9 +238,9 @@ struct PktAnno {
   bool capture_suspect = false;
 };
 
-
-/// The one packet shape the mimic understands. Both cursors lower their
-/// storage to it on the fly; it is stack data plus a borrowed SACK span.
+/// The one packet shape the mimic understands: a CapturedPacket lowered to
+/// the fields the mimic reads, with direction resolved against the flow's
+/// orientation key. Stack data plus a borrowed SACK span.
 struct PacketView {
   TimePoint ts;
   net::Seq32 seq;
@@ -253,56 +253,13 @@ struct PacketView {
   bool truncated = false;  // snaplen cut this record's options
 };
 
-/// Cursor over an owning Flow (compact FlowPackets + out-of-line sack pool).
-class FlowCursor {
- public:
-  explicit FlowCursor(const Flow& flow) : flow_(&flow) {}
-  const FlowMeta& meta() const { return *flow_; }
-  std::size_t size() const { return flow_->packets.size(); }
-  PacketView at(std::size_t i) const {
-    const FlowPacket& p = flow_->packets[i];
-    return {p.ts,          p.seq,    p.ack,          p.payload,
-            p.window,      p.flags,  p.from_server,  flow_->sacks_of(p),
-            p.truncated};
-  }
-
- private:
-  const Flow* flow_;
-};
-
-/// Cursor over a non-owning FlowView: reads CapturedPackets straight from
-/// the PacketTrace arena; nothing per packet is materialized anywhere.
-class ViewCursor {
- public:
-  explicit ViewCursor(const FlowView& view) : view_(&view) {}
-  const FlowMeta& meta() const { return *view_; }
-  std::size_t size() const { return view_->size(); }
-  PacketView at(std::size_t i) const {
-    const net::CapturedPacket& cp = view_->packet(i);
-    return {cp.timestamp,
-            cp.tcp.seq,
-            cp.tcp.ack,
-            cp.payload_len,
-            cp.tcp.window,
-            cp.tcp.flags,
-            cp.key == view_->server_to_client,
-            cp.tcp.sack_blocks.span(),
-            cp.truncated};
-  }
-
- private:
-  const FlowView* view_;
-};
-
-/// The TCP-stack mimic + stall classifier, generic over packet storage:
-/// instantiated with FlowCursor (owning path) and ViewCursor (zero-copy
-/// path) so both run byte-identical classification code.
-template <typename Cursor>
+/// The TCP-stack mimic + stall classifier over one flow's packets, read in
+/// place from the arena the FlowView borrows.
 class FlowMimic {
  public:
-  FlowMimic(Cursor cursor, const AnalyzerConfig& config)
-      : cursor_(cursor),
-        meta_(cursor.meta()),
+  FlowMimic(const FlowView& view, const AnalyzerConfig& config)
+      : packets_(view.packets),
+        meta_(view),
         config_(config),
         rto_(config.rto) {
     if (meta_.mid_stream) {
@@ -323,14 +280,22 @@ class FlowMimic {
   void run(FlowAnalysis& out);
 
  private:
-  /// The one packet accessor the mimic uses: cursor record with the
-  /// timestamp floored to config ts_quantum (identity when the quantum is
-  /// off). Keeping this the single ingest point is what makes the
-  /// quantization-invariance guarantee structural rather than per-site.
+  /// The one packet accessor the mimic uses: packet i lowered to a
+  /// PacketView with its timestamp floored to config ts_quantum (identity
+  /// when the quantum is off). Keeping this the single ingest point is what
+  /// makes the quantization-invariance guarantee structural rather than
+  /// per-site.
   PacketView pkt(std::size_t i) const {
-    PacketView p = cursor_.at(i);
-    p.ts = floor_to(p.ts, config_.ts_quantum);
-    return p;
+    const net::CapturedPacket& cp = packets_[i];
+    return {floor_to(cp.timestamp, config_.ts_quantum),
+            cp.tcp.seq,
+            cp.tcp.ack,
+            cp.payload_len,
+            cp.tcp.window,
+            cp.tcp.flags,
+            cp.key == meta_.server_to_client,
+            cp.tcp.sack_blocks.span(),
+            cp.truncated};
   }
 
   SegMimic* find_seg(net::Seq32 seq);
@@ -348,7 +313,7 @@ class FlowMimic {
                                 TimePoint stall_start, bool& f_double) const;
   net::Seq32 response_end_for(const SegMimic& seg) const;
 
-  const Cursor cursor_;
+  const std::span<const net::CapturedPacket> packets_;
   const FlowMeta& meta_;
   const AnalyzerConfig& config_;
   tcp::RtoEstimator rto_;
@@ -381,8 +346,7 @@ class FlowMimic {
   std::uint64_t rto_sample_count_ = 0;
 };
 
-template <typename Cursor>
-SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
+SegMimic* FlowMimic::find_seg(net::Seq32 seq) {
   // Segments are sorted by start; binary search for the containing one.
   auto it = std::upper_bound(
       segs_.begin(), segs_.end(), seq,
@@ -392,9 +356,8 @@ SegMimic* FlowMimic<Cursor>::find_seg(net::Seq32 seq) {
   return net::seq_in_range(seq, it->start, it->end) ? &*it : nullptr;
 }
 
-template <typename Cursor>
-bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
-                                       const PacketView& b) const {
+bool FlowMimic::is_capture_dup(const PacketView& a,
+                               const PacketView& b) const {
   // Identical header (direction, seq/ack, length, window, flags, SACKs)
   // within dup_window of each other. A retransmission repeats seq but
   // arrives at least an RTT later; capture duplicates arrive back to back
@@ -412,8 +375,7 @@ bool FlowMimic<Cursor>::is_capture_dup(const PacketView& a,
   return d <= config_.dup_window;
 }
 
-template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::packets_out() const {
+std::uint32_t FlowMimic::packets_out() const {
   std::uint32_t n = 0;
   for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
     if (!segs_[i].acked) ++n;
@@ -421,8 +383,7 @@ std::uint32_t FlowMimic<Cursor>::packets_out() const {
   return n;
 }
 
-template <typename Cursor>
-std::uint32_t FlowMimic<Cursor>::in_flight() const {
+std::uint32_t FlowMimic::in_flight() const {
   // Eq. 1: packets_out + retrans_out - (sacked_out + lost_out).
   std::uint32_t out = 0, retrans = 0, sacked = 0, lost = 0;
   for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
@@ -438,8 +399,7 @@ std::uint32_t FlowMimic<Cursor>::in_flight() const {
   return total > gone ? total - gone : 0;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::mark_lost_by_sack() {
+void FlowMimic::mark_lost_by_sack() {
   std::uint32_t sacked_above = 0;
   for (std::size_t i = segs_.size(); i-- > first_unacked_idx_;) {
     SegMimic& s = segs_[i];
@@ -453,8 +413,7 @@ void FlowMimic<Cursor>::mark_lost_by_sack() {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
+void FlowMimic::snapshot(PktAnno& a) const {
   a.state = state_;
   a.in_flight = in_flight();
   a.outstanding = packets_out();
@@ -466,9 +425,7 @@ void FlowMimic<Cursor>::snapshot(PktAnno& a) const {
   a.established = established_;
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
-                                              PktAnno& a) {
+void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
     synack_ts_ = p.ts;
@@ -568,8 +525,7 @@ void FlowMimic<Cursor>::process_server_packet(const PacketView& p,
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
+void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
                                       FlowAnalysis& out) {
   if (p.flags.syn) return;
   if (!established_) established_ = true;
@@ -724,21 +680,19 @@ void FlowMimic<Cursor>::process_client_packet(const PacketView& p, PktAnno& a,
   (void)newly_sacked;
 }
 
-template <typename Cursor>
-net::Seq32 FlowMimic<Cursor>::response_end_for(const SegMimic& seg) const {
+net::Seq32 FlowMimic::response_end_for(const SegMimic& seg) const {
   auto it = head_seqs_.upper_bound(seg.start);
   if (it != head_seqs_.end()) return *it;
   return snd_nxt_;  // final: end of everything the server sent
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::run(FlowAnalysis& out) {
+void FlowMimic::run(FlowAnalysis& out) {
   out.key = meta_.server_to_client;
   out.init_rwnd_bytes = meta_.init_rwnd_bytes;
   out.init_rwnd_mss = meta_.mss ? meta_.init_rwnd_bytes / meta_.mss : 0;
 
-  annos_.resize(cursor_.size());
-  for (std::size_t i = 0; i < cursor_.size(); ++i) {
+  annos_.resize(packets_.size());
+  for (std::size_t i = 0; i < packets_.size(); ++i) {
     const PacketView p = pkt(i);
     PktAnno& a = annos_[i];
     if (p.truncated) ++quality_.truncated_packets;
@@ -787,9 +741,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 
   // Transfer-level metrics.
-  if (cursor_.size() > 0) {
+  if (packets_.size() > 0) {
     out.transmission_time =
-        pkt(cursor_.size() - 1).ts - pkt(0).ts;
+        pkt(packets_.size() - 1).ts - pkt(0).ts;
   }
   for (const auto& s : segs_) out.unique_bytes += s.len();
   if (!out.rtt_samples_us.empty()) {
@@ -824,9 +778,9 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   // Average speed over the *active* data phase: first payload transmission
   // to flow end, minus stalled time — i.e. the transfer rate the service
   // delivers while actually moving data.
-  if (!segs_.empty() && cursor_.size() > 0) {
+  if (!segs_.empty() && packets_.size() > 0) {
     const Duration data_phase =
-        pkt(cursor_.size() - 1).ts - segs_.front().tx_times.front();
+        pkt(packets_.size() - 1).ts - segs_.front().tx_times.front();
     // Stalls that straddle the start of the data phase (e.g. a back-end
     // fetch ending in the first data packet) can push `active` to zero;
     // fall back to the raw data-phase rate then.
@@ -838,11 +792,10 @@ void FlowMimic<Cursor>::run(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
-  if (cursor_.size() == 0) return;
+void FlowMimic::detect_and_classify(FlowAnalysis& out) {
+  if (packets_.size() == 0) return;
   TimePoint prev_ts = pkt(0).ts;
-  for (std::size_t i = 0; i + 1 < cursor_.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < packets_.size(); ++i) {
     const TimePoint cur_ts = pkt(i + 1).ts;
     const Duration gap = cur_ts - prev_ts;
     prev_ts = cur_ts;
@@ -862,8 +815,7 @@ void FlowMimic<Cursor>::detect_and_classify(FlowAnalysis& out) {
   }
 }
 
-template <typename Cursor>
-StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
+StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
                                       std::size_t cur_idx) const {
   const PktAnno& prev = annos_[prev_idx];
   const PktAnno& cur = annos_[cur_idx];
@@ -940,11 +892,10 @@ StallRecord FlowMimic<Cursor>::classify_stall(std::size_t prev_idx,
   return rec;
 }
 
-template <typename Cursor>
-RetransCause FlowMimic<Cursor>::classify_retrans(const PktAnno& prev,
-                                         const PktAnno& cur,
-                                         TimePoint stall_start,
-                                         bool& f_double) const {
+RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
+                                        const PktAnno& cur,
+                                        TimePoint stall_start,
+                                        bool& f_double) const {
   const SegMimic& seg = segs_[static_cast<std::size_t>(cur.seg_idx)];
 
   // 1. Double retransmission: the segment had already been retransmitted
@@ -1019,16 +970,9 @@ Analyzer::Analyzer(AnalyzerConfig config) : config_(config) {
   config_.validate();
 }
 
-FlowAnalysis Analyzer::analyze_flow(const Flow& flow) const {
-  FlowAnalysis out;
-  FlowMimic<FlowCursor> mimic(FlowCursor(flow), config_);
-  mimic.run(out);
-  return out;
-}
-
 FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
   FlowAnalysis out;
-  FlowMimic<ViewCursor> mimic(ViewCursor(view), config_);
+  FlowMimic mimic(view, config_);
   mimic.run(out);
   return out;
 }

@@ -66,8 +66,8 @@ struct StallRecord {
   std::uint32_t in_flight = 0;
   /// Retransmitted packet index / data packets in flow (Fig. 7a / 10a).
   double rel_position = 0.0;
-  /// Index (into the flow's packet sequence — Flow::packets or a
-  /// FlowView's packet_indices positions) of the packet ending the stall.
+  /// Position, within its flow's packets in capture order (FlowView::
+  /// packets), of the packet ending the stall.
   std::size_t cur_pkt_index = 0;
   /// The classifier demoted this stall to kUndetermined because capture
   /// artifacts (a sequence gap, a mid-stream start) made the cause
@@ -211,18 +211,16 @@ class Analyzer {
   /// Validates the config (std::invalid_argument on out-of-range fields).
   explicit Analyzer(AnalyzerConfig config = {});
 
-  /// Both overloads run the identical mimic/classifier over a packet
-  /// cursor; the Flow one reads owned FlowPackets, the FlowView one reads
-  /// the PacketTrace arena in place (zero-copy).
-  FlowAnalysis analyze_flow(const Flow& flow) const;
+  /// Runs the mimic/classifier over one flow, reading its packets in place
+  /// from the arena the view borrows (zero-copy).
   FlowAnalysis analyze_flow(const FlowView& view) const;
 
   /// Batch entry point, now a veneer over the streaming engine: every
   /// packet is fed through an unbounded LiveAnalyzer (one engine for the
   /// offline and live paths) and the finalized flows are returned in
   /// first-packet order — exactly the order the old multi-pass batch
-  /// demux produced. Still zero-copy per flow: the per-flow arenas are
-  /// demuxed with demux_flow_views and analyzed in place.
+  /// demux produced. The live flow table is the only demux; each flow's
+  /// arena is oriented with make_flow_view and analyzed in place.
   AnalysisResult analyze(const net::PacketTrace& trace,
                          const DemuxOptions& demux = {}) const;
   /// Same, over a chunked trace (retained chunks + open tail, in order).

@@ -1,14 +1,10 @@
 #include "tapo/flow.h"
 
-#include <stdexcept>
-#include <unordered_map>
-
 namespace tapo::analysis {
 namespace {
 
-// Folds one packet's header facts into the flow meta. Shared by the view
-// demux (reading the arena) and kept deliberately orientation-only: the
-// caller decides from_server.
+// Folds one packet's header facts into the flow meta. Orientation-only:
+// the caller decides from_server.
 void fold_meta(FlowMeta& m, const net::CapturedPacket& cp, bool from_server) {
   const net::TcpHeader& tcp = cp.tcp;
   if (tcp.flags.syn && !tcp.flags.ack && !from_server) {
@@ -45,146 +41,44 @@ DemuxOptions& DemuxOptions::with_server_port(std::uint16_t port) {
   return *this;
 }
 
-DemuxOptions& DemuxOptions::with_min_packets(std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "DemuxOptions: min_packets must be > 0 (a zero-packet flow cannot "
-        "exist; use 1 to keep every flow)");
-  }
-  min_packets = n;
-  return *this;
-}
+FlowView make_flow_view(std::span<const net::CapturedPacket> packets,
+                        const DemuxOptions& opts) {
+  FlowView view;
+  view.packets = packets;
+  if (packets.empty()) return view;
 
-void DemuxOptions::validate() const {
-  if (min_packets == 0) {
-    throw std::invalid_argument("DemuxOptions: min_packets must be > 0");
-  }
-}
-
-FlowAccumulator::FlowAccumulator(const DemuxOptions& opts) : opts_(opts) {
-  opts_.validate();
-}
-
-void FlowAccumulator::ingest(const net::CapturedPacket& pkt,
-                             std::uint32_t index) {
-  // Hash the packet's canonical key to a flow slot (first-seen order),
-  // tallying counts and orientation evidence. slot_of_ remembers each
-  // packet's flow so finish() never rehashes.
-  const net::FlowKey canon = pkt.key.canonical();
-  auto [it, inserted] =
-      table_.try_emplace(canon, static_cast<std::uint32_t>(accums_.size()));
-  if (inserted) {
-    accums_.emplace_back();
-    accums_.back().canonical = canon;
-  }
-  Accum& a = accums_[it->second];
-  slot_of_.push_back(it->second);
-  index_of_.push_back(index);
-  ++a.count;
-  const bool from_a = pkt.key == canon;
-  if (from_a) {
-    a.payload_a += pkt.payload_len;
-    if (pkt.tcp.flags.syn && pkt.tcp.flags.ack) a.synack_from_a = true;
-  } else {
-    a.payload_b += pkt.payload_len;
-    if (pkt.tcp.flags.syn && pkt.tcp.flags.ack) a.synack_from_b = true;
-  }
-}
-
-FlowViewSet FlowAccumulator::finish(const net::PacketTrace& trace) {
-  // Prefix-sum the counts into pool offsets (every flow gets a segment;
-  // below-min flows are simply never wrapped in a view).
-  FlowViewSet out;
-  out.index_pool_.resize(index_of_.size());
-  std::uint32_t running = 0;
-  for (Accum& a : accums_) {
-    a.offset = running;
-    running += a.count;
-  }
-
-  // Scatter packet indices into each flow's segment, preserving capture
-  // order within the flow.
-  {
-    std::vector<std::uint32_t> cursor(accums_.size());
-    for (std::size_t i = 0; i < accums_.size(); ++i) {
-      cursor[i] = accums_[i].offset;
-    }
-    for (std::size_t i = 0; i < index_of_.size(); ++i) {
-      out.index_pool_[cursor[slot_of_[i]]++] = index_of_[i];
-    }
-  }
-
-  // Orient each kept flow and walk its segment once to extract the
-  // handshake/transfer meta.
-  out.flows_.reserve(accums_.size());
-  for (const Accum& a : accums_) {
-    if (a.count < opts_.min_packets) continue;
-
-    // Decide which endpoint is the server.
-    bool server_is_a;
-    if (opts_.server_port != 0) {
-      server_is_a = a.canonical.src_port == opts_.server_port;
-    } else if (a.synack_from_a != a.synack_from_b) {
-      server_is_a = a.synack_from_a;
+  // Pass 1: orientation evidence per endpoint, keyed by "is the packet's
+  // src the canonical key's src".
+  const net::FlowKey canon = packets.front().key.canonical();
+  std::uint64_t payload_a = 0, payload_b = 0;
+  bool synack_from_a = false, synack_from_b = false;
+  for (const net::CapturedPacket& cp : packets) {
+    const bool synack = cp.tcp.flags.syn && cp.tcp.flags.ack;
+    if (cp.key == canon) {
+      payload_a += cp.payload_len;
+      synack_from_a |= synack;
     } else {
-      server_is_a = a.payload_a >= a.payload_b;
+      payload_b += cp.payload_len;
+      synack_from_b |= synack;
     }
-
-    FlowView view;
-    view.server_to_client = server_is_a ? a.canonical : a.canonical.reversed();
-    view.trace = &trace;
-    view.packet_indices = std::span<const std::uint32_t>(out.index_pool_)
-                              .subspan(a.offset, a.count);
-    for (std::uint32_t idx : view.packet_indices) {
-      const net::CapturedPacket& cp = trace[idx];
-      fold_meta(view, cp, cp.key == view.server_to_client);
-    }
-    if (view.init_rwnd_bytes == 0) view.init_rwnd_bytes = view.syn_window;
-    view.mid_stream =
-        !view.saw_syn && !view.saw_synack && view.saw_server_data;
-    out.flows_.push_back(view);
   }
-  return out;
-}
-
-FlowViewSet demux_flow_views(const net::PacketTrace& trace,
-                             const DemuxOptions& opts) {
-  FlowAccumulator acc(opts);
-  const std::span<const net::CapturedPacket> pkts = trace.packets();
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    acc.ingest(pkts[i], static_cast<std::uint32_t>(i));
+  bool server_is_a;
+  if (opts.server_port != 0) {
+    server_is_a = canon.src_port == opts.server_port;
+  } else if (synack_from_a != synack_from_b) {
+    server_is_a = synack_from_a;
+  } else {
+    server_is_a = payload_a >= payload_b;
   }
-  return acc.finish(trace);
-}
+  view.server_to_client = server_is_a ? canon : canon.reversed();
 
-std::vector<Flow> demux_flows(const net::PacketTrace& trace,
-                              const DemuxOptions& opts) {
-  const FlowViewSet views = demux_flow_views(trace, opts);
-
-  std::vector<Flow> flows;
-  flows.reserve(views.size());
-  for (const FlowView& view : views) {
-    Flow flow;
-    static_cast<FlowMeta&>(flow) = view;  // meta is already extracted
-    flow.packets.reserve(view.size());
-    for (std::uint32_t idx : view.packet_indices) {
-      const net::CapturedPacket& cp = trace[idx];
-      FlowPacket& fp = flow.append_packet();
-      fp.ts = cp.timestamp;
-      fp.from_server = cp.key == flow.server_to_client;
-      fp.seq = cp.tcp.seq;
-      fp.ack = cp.tcp.ack;
-      fp.payload = cp.payload_len;
-      fp.flags = cp.tcp.flags;
-      fp.window = cp.tcp.window;
-      fp.truncated = cp.truncated;
-      for (const net::SackBlock& b : cp.tcp.sack_blocks) {
-        flow.append_sack(b);
-      }
-    }
-    flows.push_back(std::move(flow));
+  // Pass 2: the handshake/transfer meta.
+  for (const net::CapturedPacket& cp : packets) {
+    fold_meta(view, cp, cp.key == view.server_to_client);
   }
-  return flows;
+  if (view.init_rwnd_bytes == 0) view.init_rwnd_bytes = view.syn_window;
+  view.mid_stream = !view.saw_syn && !view.saw_synack && view.saw_server_data;
+  return view;
 }
 
 }  // namespace tapo::analysis

@@ -1,62 +1,26 @@
-// Flow reconstruction: demultiplexes a server-side packet trace into
-// per-connection flows oriented server->client, and extracts the handshake
-// parameters TAPO's classifier needs (MSS, SACK permission, window scale,
-// initial receive window — Table 2's "receiver side" category).
+// Flow reconstruction: orients one connection's server-side packets
+// server->client and extracts the handshake parameters TAPO's classifier
+// needs (MSS, SACK permission, window scale, initial receive window —
+// Table 2's "receiver side" category).
 //
-// Two representations share one extraction pass:
-//  - FlowView (preferred, zero-copy): per-flow spans of packet *indices*
-//    into the PacketTrace arena, produced by demux_flow_views. Nothing per
-//    packet is copied; the analyzer reads the arena through a cursor.
-//  - Flow (owning): compact FlowPacket records copied out of the trace,
-//    produced by demux_flows — now a thin adapter over the view demux.
-//    Kept for callers that outlive the trace (and for hand-built tests).
+// The live flow table (tapo/live.h) is the only demux: it keys each
+// packet by its canonical 4-tuple and keeps every connection's packets in
+// an arena of their own. make_flow_view turns one such arena into the one
+// flow representation the analyzer reads — FlowMeta plus a borrowed span
+// of the packets, in capture order. Nothing per packet is copied.
 //
-// View lifetime rule: a FlowView borrows both the PacketTrace arena and the
-// FlowViewSet index pool; it is valid until either is mutated or destroyed.
-// PacketTrace::sort_by_time permutes indices, so sort first, demux after.
+// View lifetime rule: a FlowView borrows its packets; it is valid until
+// the arena behind the span is mutated or destroyed.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 #include "net/trace.h"
 
 namespace tapo::analysis {
 
-/// One packet of a reconstructed flow, reduced to the fields the analyzer
-/// uses. Trivially copyable and 32 bytes (half the legacy record): flags
-/// pack into one byte and SACK blocks live out-of-line in the owning
-/// Flow's sack pool (most packets carry none), addressed by offset+count.
-struct FlowPacket {
-  TimePoint ts;
-  net::Seq32 seq;
-  net::Seq32 ack;
-  std::uint32_t payload = 0;
-  std::uint32_t sack_offset = 0;  // into Flow::sack_pool
-  std::uint16_t window = 0;       // raw field (unscaled)
-  net::TcpFlags flags;
-  std::uint8_t sack_count = 0;
-  /// Orients the packet relative to the data sender.
-  bool from_server = false;
-  /// Snaplen truncation cut this packet's TCP options (CapturedPacket::
-  /// truncated carried through the owning demux).
-  bool truncated = false;
-
-  net::Seq32 end_seq() const {
-    return seq + (payload + (flags.syn ? 1u : 0u) + (flags.fin ? 1u : 0u));
-  }
-};
-static_assert(std::is_trivially_copyable_v<FlowPacket>,
-              "FlowPacket must stay a POD for flat per-flow storage");
-static_assert(sizeof(FlowPacket) <= 32,
-              "FlowPacket is the per-packet cost of the owning path; keep "
-              "it at half the legacy (heap-backed) record size");
-
-/// Flow-level handshake/transfer facts shared by the owning Flow and the
-/// non-owning FlowView, so both run the same classification code.
+/// Flow-level handshake/transfer facts, extracted once per connection.
 struct FlowMeta {
   net::FlowKey server_to_client;  // orientation key (server is src)
 
@@ -90,141 +54,25 @@ struct FlowMeta {
   net::Seq32 first_server_data_seq;
 };
 
-struct Flow : FlowMeta {
-  std::vector<FlowPacket> packets;
-  /// Out-of-line SACK storage: each packet's blocks are contiguous at
-  /// [sack_offset, sack_offset + sack_count).
-  std::vector<net::SackBlock> sack_pool;
-
-  /// Appends a packet whose sack range starts at the current pool end.
-  FlowPacket& append_packet() {
-    FlowPacket p;
-    p.sack_offset = static_cast<std::uint32_t>(sack_pool.size());
-    packets.push_back(p);
-    return packets.back();
-  }
-  /// Appends one SACK block to the most recently appended packet. Must be
-  /// called before the next append_packet() so pool ranges stay contiguous.
-  void append_sack(const net::SackBlock& b) {
-    sack_pool.push_back(b);
-    ++packets.back().sack_count;
-  }
-  std::span<const net::SackBlock> sacks_of(const FlowPacket& p) const {
-    return std::span<const net::SackBlock>(sack_pool)
-        .subspan(p.sack_offset, p.sack_count);
-  }
-};
-
-/// Non-owning flow: a span of packet indices into the demuxed PacketTrace.
-/// Packets keep capture order. Borrowed storage — see the lifetime rule in
-/// the file comment.
+/// One connection: its meta plus a borrowed span of its packets in capture
+/// order. A packet is from the server when its key equals server_to_client.
 struct FlowView : FlowMeta {
-  const net::PacketTrace* trace = nullptr;
-  std::span<const std::uint32_t> packet_indices;
-
-  std::size_t size() const { return packet_indices.size(); }
-  const net::CapturedPacket& packet(std::size_t i) const {
-    return (*trace)[packet_indices[i]];
-  }
+  std::span<const net::CapturedPacket> packets;
 };
 
 struct DemuxOptions {
   /// The server's port; 0 auto-detects (the endpoint that sent a SYN-ACK,
   /// falling back to the endpoint with more payload bytes).
   std::uint16_t server_port = 0;
-  /// Drop flows with fewer packets than this (noise in real captures).
-  std::size_t min_packets = 1;
 
-  // Fluent construction (aggregate-init keeps working); setters validate
-  // eagerly and throw std::invalid_argument, mirroring ExperimentConfig.
+  // Fluent construction (aggregate-init keeps working).
   DemuxOptions& with_server_port(std::uint16_t port);
-  DemuxOptions& with_min_packets(std::size_t n);  // must be > 0
-
-  /// Throws std::invalid_argument on an unusable combination (min_packets
-  /// of zero). Called by demux_flow_views on entry.
-  void validate() const;
 };
 
-/// Result of a view-based demux: the per-flow views plus the index pool
-/// they point into. Movable (spans chase the pool's heap buffer); not
-/// copyable — copying would silently duplicate the pool while the views
-/// keep pointing at the original.
-class FlowViewSet {
- public:
-  FlowViewSet() = default;
-  FlowViewSet(FlowViewSet&&) noexcept = default;
-  FlowViewSet& operator=(FlowViewSet&&) noexcept = default;
-  FlowViewSet(const FlowViewSet&) = delete;
-  FlowViewSet& operator=(const FlowViewSet&) = delete;
-
-  const std::vector<FlowView>& flows() const { return flows_; }
-  std::size_t size() const { return flows_.size(); }
-  bool empty() const { return flows_.empty(); }
-  const FlowView& operator[](std::size_t i) const { return flows_[i]; }
-  auto begin() const { return flows_.begin(); }
-  auto end() const { return flows_.end(); }
-
-  /// Index-pool footprint — the entire per-packet cost of a view demux.
-  std::size_t index_bytes() const {
-    return index_pool_.size() * sizeof(std::uint32_t);
-  }
-
- private:
-  friend class FlowAccumulator;
-  std::vector<std::uint32_t> index_pool_;
-  std::vector<FlowView> flows_;
-};
-
-/// Streaming core of the demux. Packets fold in one at a time — per
-/// canonical key it accumulates membership (arena indices) and
-/// orientation evidence (payload per endpoint, SYN-ACK sightings) — and
-/// finish() orients each kept flow and extracts its meta. demux_flow_views
-/// is a thin wrapper that feeds one whole trace through an accumulator;
-/// chunked producers feed the same accumulator incrementally instead of
-/// requiring the batch multi-pass plumbing this replaced.
-class FlowAccumulator {
- public:
-  explicit FlowAccumulator(const DemuxOptions& opts);
-
-  /// Folds in the packet stored at arena index `index`. Indices must be
-  /// strictly increasing (capture order).
-  void ingest(const net::CapturedPacket& pkt, std::uint32_t index);
-
-  /// Builds the per-flow views over `trace` — the arena the ingested
-  /// indices point into. Call once, after the last ingest.
-  FlowViewSet finish(const net::PacketTrace& trace);
-
-  std::size_t packets() const { return index_of_.size(); }
-  std::size_t flows() const { return accums_.size(); }
-
- private:
-  /// Per-flow tallies; packet membership lives in index_of_/slot_of_ and
-  /// is scattered into the FlowViewSet pool by finish().
-  struct Accum {
-    net::FlowKey canonical;
-    std::uint32_t count = 0;
-    std::uint32_t offset = 0;  // filled by finish()'s prefix sum
-    // Per-endpoint bookkeeping keyed by "is packet's src == canonical.src".
-    std::uint64_t payload_a = 0, payload_b = 0;
-    bool synack_from_a = false, synack_from_b = false;
-  };
-
-  DemuxOptions opts_;
-  std::unordered_map<net::FlowKey, std::uint32_t, net::FlowKeyHash> table_;
-  std::vector<Accum> accums_;
-  std::vector<std::uint32_t> slot_of_;   // per ingested packet: flow slot
-  std::vector<std::uint32_t> index_of_;  // per ingested packet: arena index
-};
-
-/// Splits `trace` into non-owning per-flow views without copying a single
-/// packet. Packets within a flow keep capture order; flows appear in
-/// first-packet order.
-FlowViewSet demux_flow_views(const net::PacketTrace& trace,
-                             const DemuxOptions& opts = {});
-
-/// Splits `trace` into owning flows (adapter over demux_flow_views: same
-/// flow set, packets materialized as compact FlowPackets).
-std::vector<Flow> demux_flows(const net::PacketTrace& trace,
-                              const DemuxOptions& opts = {});
+/// Orients `packets` — every packet of ONE connection, in capture order —
+/// and extracts the flow meta. Two linear passes: orientation tallies,
+/// then the per-packet meta fold. An empty span yields a default view.
+FlowView make_flow_view(std::span<const net::CapturedPacket> packets,
+                        const DemuxOptions& opts = {});
 
 }  // namespace tapo::analysis

@@ -14,7 +14,6 @@ LiveConfig& LiveConfig::with_analyzer(const AnalyzerConfig& a) {
 }
 
 LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
-  d.validate();
   demux = d;
   return *this;
 }
@@ -63,7 +62,6 @@ LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
 
 void LiveConfig::validate() const {
   analyzer.validate();
-  demux.validate();
   if (idle_timeout <= Duration::zero()) {
     throw std::invalid_argument("LiveConfig: idle_timeout must be > 0");
   }
@@ -125,23 +123,18 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   count_flow_event("finalize");
   stats_.active_flows = flows_.size();
   if (!entry.trace.empty()) {
-    // The one analysis engine: demux core + per-flow kernel, invoked
-    // directly. Analyzer::analyze is a wrapper over *this* class, so
-    // calling it here would recurse.
-    const FlowViewSet views = demux_flow_views(entry.trace, config_.demux);
-    AnalysisResult result;
-    result.flows.reserve(views.size());
-    for (const FlowView& view : views) {
-      result.flows.push_back(analyzer_.analyze_flow(view));
-    }
-    if (on_flow_done_) {
-      for (const auto& fa : result.flows) on_flow_done_(fa);
-    }
-    if (sink_ != nullptr && !result.flows.empty()) {
+    // The one analysis engine: this table already demuxed the connection,
+    // so orient its arena and run the per-flow kernel in place.
+    // Analyzer::analyze is a wrapper over *this* class, so calling it here
+    // would recurse.
+    FlowAnalysis fa = analyzer_.analyze_flow(
+        make_flow_view(entry.trace.packets(), config_.demux));
+    if (on_flow_done_) on_flow_done_(fa);
+    if (sink_ != nullptr) {
       FlowResult fr;
       fr.index = sink_ordinal_++;
       fr.packets = entry.trace.size();
-      fr.analyses = std::move(result.flows);
+      fr.analyses.push_back(std::move(fa));
       sink_->consume(std::move(fr));
     }
   }
@@ -164,17 +157,13 @@ void LiveAnalyzer::recharge(Entry& entry) {
 }
 
 std::size_t LiveAnalyzer::charge_after_append(const Entry& entry) const {
-  std::size_t cap =
-      entry.trace.capacity_bytes() / sizeof(net::CapturedPacket);
-  // Mirrors PacketTrace::grow_to: 64 slots first, then doubling.
-  if (entry.trace.size() == cap) cap = cap == 0 ? 64 : cap * 2;
-  return cap * sizeof(net::CapturedPacket) + kFlowOverheadBytes;
+  return entry.trace.capacity_bytes_after_append() + kFlowOverheadBytes;
 }
 
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
-  // the open ingest chunk plus the finalize-time transients (demux index
-  // pool, per-packet analysis state), which scale with the largest
+  // the open ingest chunk plus the finalize-time transient (the mimic's
+  // per-packet and per-segment state), which scales with the largest
   // buffered flow — i.e. with the retained half. This is what keeps the
   // allocator-measured process peak, not just the ledger, under the cap
   // (bench/streaming_scale gates exactly that).

@@ -66,7 +66,7 @@ struct LiveConfig {
 
   /// Throws std::invalid_argument on any unusable field (non-positive
   /// idle_timeout, zero max_flows, ...). Called by the LiveAnalyzer
-  /// constructors, plus the nested analyzer/demux validations.
+  /// constructors, plus the nested analyzer validation.
   void validate() const;
 };
 
@@ -133,9 +133,8 @@ class LiveAnalyzer {
   void reap(TimePoint now);
   /// Re-syncs `entry`'s budget charge with its current arena capacity.
   void recharge(Entry& entry);
-  /// Ledger bytes `entry` will hold after one more append — mirrors
-  /// PacketTrace's geometric growth so eviction can run BEFORE the
-  /// allocation that would overshoot the cap.
+  /// Ledger bytes `entry` will hold after one more append, so eviction can
+  /// run BEFORE the allocation that would overshoot the cap.
   std::size_t charge_after_append(const Entry& entry) const;
   /// Eviction threshold: half the cap (see LiveConfig::mem_budget).
   std::size_t soft_limit() const;

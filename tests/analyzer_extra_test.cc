@@ -16,77 +16,80 @@ constexpr std::uint32_t kClientIsn = 1000;
 constexpr std::uint32_t kBigWindow = 63000;
 
 struct FlowBuilder {
-  Flow flow;
+  FlowMeta meta;
+  net::PacketTrace trace;
 
   FlowBuilder() {
-    flow.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
-    flow.saw_syn = true;
-    flow.saw_synack = true;
-    flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
-    flow.mss = kMss;
-    flow.sack_permitted = true;
-    flow.init_rwnd_bytes = kBigWindow;
+    meta.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
+    meta.saw_syn = true;
+    meta.saw_synack = true;
+    meta.server_isn = net::Seq32{kServerIsn};
+    meta.client_isn = net::Seq32{kClientIsn};
+    meta.mss = kMss;
+    meta.sack_permitted = true;
+    meta.init_rwnd_bytes = kBigWindow;
   }
 
   static net::Seq32 seg(int i) {
     return net::Seq32{kServerIsn + 1 + static_cast<std::uint32_t>(i) * kMss};
   }
 
-  FlowPacket& add(double t, bool from_server) {
-    FlowPacket& p = flow.append_packet();
-    p.ts = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
-    p.from_server = from_server;
-    p.window = kBigWindow;
+  /// Appends a packet; the reference is valid until the next add().
+  net::CapturedPacket& add(double t, bool from_server) {
+    net::CapturedPacket& p = trace.append();
+    p.timestamp = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
+    p.key = from_server ? meta.server_to_client
+                        : meta.server_to_client.reversed();
+    p.tcp.window = kBigWindow;
     return p;
   }
 
   void handshake(double t = 0.0, double rtt = 0.1) {
     auto& syn = add(t, false);
-    syn.seq = net::Seq32{kClientIsn};
-    syn.flags.syn = true;
+    syn.tcp.seq = net::Seq32{kClientIsn};
+    syn.tcp.flags.syn = true;
     auto& synack = add(t, true);
-    synack.seq = net::Seq32{kServerIsn};
-    synack.ack = net::Seq32{kClientIsn + 1};
-    synack.flags.syn = true;
-    synack.flags.ack = true;
+    synack.tcp.seq = net::Seq32{kServerIsn};
+    synack.tcp.ack = net::Seq32{kClientIsn + 1};
+    synack.tcp.flags.syn = true;
+    synack.tcp.flags.ack = true;
     auto& ack = add(t + rtt, false);
-    ack.seq = net::Seq32{kClientIsn + 1};
-    ack.ack = net::Seq32{kServerIsn + 1};
-    ack.flags.ack = true;
+    ack.tcp.seq = net::Seq32{kClientIsn + 1};
+    ack.tcp.ack = net::Seq32{kServerIsn + 1};
+    ack.tcp.flags.ack = true;
   }
 
   void request(double t, std::uint32_t len = 200) {
     auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 1};
-    p.flags.ack = true;
-    p.payload = len;
+    p.tcp.seq = net::Seq32{kClientIsn + 1};
+    p.tcp.flags.ack = true;
+    p.payload_len = len;
   }
 
   void data(double t, int i, std::uint32_t len = kMss) {
     auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.payload = len;
+    p.tcp.seq = seg(i);
+    p.tcp.flags.ack = true;
+    p.payload_len = len;
   }
 
   void fin(double t, int i) {
     auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.flags.fin = true;
+    p.tcp.seq = seg(i);
+    p.tcp.flags.ack = true;
+    p.tcp.flags.fin = true;
   }
 
   void ack(double t, net::Seq32 ackno, std::uint32_t window = kBigWindow) {
     auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = ackno;
-    p.flags.ack = true;
-    p.window = window;
+    p.tcp.seq = net::Seq32{kClientIsn + 201};
+    p.tcp.ack = ackno;
+    p.tcp.flags.ack = true;
+    p.tcp.window = window;
   }
 
   FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
-    return Analyzer(cfg).analyze_flow(flow);
+    return Analyzer(cfg).analyze_flow(FlowView{meta, trace.packets()});
   }
 };
 
@@ -120,9 +123,9 @@ TEST(AnalyzerExtra, PersistProbeGapsClassifiedAsZeroWindow) {
   // Second probe after a backed-off interval.
   {
     auto& p = b.add(1.55, true);
-    p.seq = FlowBuilder::seg(2) + 1;
-    p.flags.ack = true;
-    p.payload = 1;
+    p.tcp.seq = FlowBuilder::seg(2) + 1;
+    p.tcp.flags.ack = true;
+    p.payload_len = 1;
   }
   b.ack(1.65, FlowBuilder::seg(2) + 2, kBigWindow);  // window reopens
   const auto fa = b.analyze();

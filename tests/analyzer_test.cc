@@ -3,6 +3,9 @@
 // where ground truth is known by construction.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tapo/analyzer.h"
 #include "tapo/report.h"
 
@@ -14,49 +17,63 @@ constexpr std::uint32_t kServerIsn = 5000;
 constexpr std::uint32_t kClientIsn = 1000;
 constexpr std::uint32_t kBigWindow = 63000;
 
-/// Builds a Flow packet-by-packet. Times are absolute seconds.
+/// Builds one flow packet-by-packet into a PacketTrace with hand-set meta.
+/// Times are absolute seconds.
 struct FlowBuilder {
-  Flow flow;
+  FlowMeta meta;
+  net::PacketTrace trace;
 
   FlowBuilder() {
-    flow.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
-    flow.saw_syn = true;
-    flow.saw_synack = true;
-    flow.server_isn = net::Seq32{kServerIsn};
-    flow.client_isn = net::Seq32{kClientIsn};
-    flow.mss = kMss;
-    flow.sack_permitted = true;
-    flow.client_wscale = 0;
-    flow.init_rwnd_bytes = kBigWindow;
+    meta.server_to_client = {0xc0a80101, 0x0a000001, 80, 40001};
+    meta.saw_syn = true;
+    meta.saw_synack = true;
+    meta.server_isn = net::Seq32{kServerIsn};
+    meta.client_isn = net::Seq32{kClientIsn};
+    meta.mss = kMss;
+    meta.sack_permitted = true;
+    meta.client_wscale = 0;
+    meta.init_rwnd_bytes = kBigWindow;
   }
 
   static net::Seq32 seg(int i) {
     return net::Seq32{kServerIsn + 1 + static_cast<std::uint32_t>(i) * kMss};
   }
 
-  FlowPacket& add(double t, bool from_server) {
-    FlowPacket& p = flow.append_packet();
-    p.ts = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
-    p.from_server = from_server;
-    p.window = kBigWindow;
+  /// Appends a packet; the reference is valid until the next add().
+  net::CapturedPacket& add(double t, bool from_server) {
+    net::CapturedPacket& p = trace.append();
+    p.timestamp = TimePoint::from_us(static_cast<std::int64_t>(t * 1e6));
+    p.key = from_server ? meta.server_to_client
+                        : meta.server_to_client.reversed();
+    p.tcp.window = kBigWindow;
     return p;
+  }
+
+  /// Appends a SACK block to `p`; a header holds at most
+  /// SackList::kMaxBlocks, and the builder refuses to drop one silently.
+  static void sack(net::CapturedPacket& p, const net::SackBlock& b) {
+    if (!p.tcp.sack_blocks.push_back(b)) {
+      throw std::length_error("FlowBuilder: more than " +
+                              std::to_string(net::SackList::kMaxBlocks) +
+                              " SACK blocks on one packet");
+    }
   }
 
   /// Standard handshake: SYN at t, SYN-ACK at t, client ACK at t+rtt.
   /// Seeds the mimic's SRTT with `rtt`.
   void handshake(double t = 0.0, double rtt = 0.1) {
     auto& syn = add(t, false);
-    syn.seq = net::Seq32{kClientIsn};
-    syn.flags.syn = true;
+    syn.tcp.seq = net::Seq32{kClientIsn};
+    syn.tcp.flags.syn = true;
     auto& synack = add(t, true);
-    synack.seq = net::Seq32{kServerIsn};
-    synack.ack = net::Seq32{kClientIsn + 1};
-    synack.flags.syn = true;
-    synack.flags.ack = true;
+    synack.tcp.seq = net::Seq32{kServerIsn};
+    synack.tcp.ack = net::Seq32{kClientIsn + 1};
+    synack.tcp.flags.syn = true;
+    synack.tcp.flags.ack = true;
     auto& ack = add(t + rtt, false);
-    ack.seq = net::Seq32{kClientIsn + 1};
-    ack.ack = net::Seq32{kServerIsn + 1};
-    ack.flags.ack = true;
+    ack.tcp.seq = net::Seq32{kClientIsn + 1};
+    ack.tcp.ack = net::Seq32{kServerIsn + 1};
+    ack.tcp.flags.ack = true;
   }
 
   net::Seq32 next_req_seq = net::Seq32{kClientIsn + 1};
@@ -64,20 +81,20 @@ struct FlowBuilder {
   /// Client request of `len` bytes arriving at t.
   void request(double t, std::uint32_t len = 200, std::uint32_t req_seq = 0) {
     auto& p = add(t, false);
-    p.seq = req_seq ? net::Seq32{req_seq} : next_req_seq;
-    next_req_seq = p.seq + len;
-    p.ack = net::Seq32{0};  // caller may not care
-    p.flags.ack = true;
-    p.payload = len;
+    p.tcp.seq = req_seq ? net::Seq32{req_seq} : next_req_seq;
+    next_req_seq = p.tcp.seq + len;
+    p.tcp.ack = net::Seq32{0};  // caller may not care
+    p.tcp.flags.ack = true;
+    p.payload_len = len;
   }
 
   /// Server data segment i at t (new transmission or retransmission —
   /// the analyzer decides from sequence numbers).
   void data(double t, int i, std::uint32_t len = kMss) {
     auto& p = add(t, true);
-    p.seq = seg(i);
-    p.flags.ack = true;
-    p.payload = len;
+    p.tcp.seq = seg(i);
+    p.tcp.flags.ack = true;
+    p.payload_len = len;
   }
 
   /// Client ACK at t, cumulative up to segment `upto` (exclusive), with
@@ -86,17 +103,15 @@ struct FlowBuilder {
            std::vector<std::pair<int, int>> sack_segs = {},
            std::uint32_t window = kBigWindow) {
     auto& p = add(t, false);
-    p.seq = net::Seq32{kClientIsn + 1};
-    p.ack = seg(upto);
-    p.flags.ack = true;
-    p.window = window;
-    for (const auto& [s, e] : sack_segs) {
-      flow.append_sack({seg(s), seg(e)});
-    }
+    p.tcp.seq = net::Seq32{kClientIsn + 1};
+    p.tcp.ack = seg(upto);
+    p.tcp.flags.ack = true;
+    p.tcp.window = window;
+    for (const auto& [s, e] : sack_segs) sack(p, {seg(s), seg(e)});
   }
 
   FlowAnalysis analyze(AnalyzerConfig cfg = {}) const {
-    return Analyzer(cfg).analyze_flow(flow);
+    return Analyzer(cfg).analyze_flow(FlowView{meta, trace.packets()});
   }
 };
 
@@ -421,11 +436,12 @@ TEST(Analyzer, AckDelayLossStall) {
   // ...and the client's (delayed) ACK reveals everything arrived: DSACK.
   {
     auto& p = b.add(t + 0.6, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = FlowBuilder::seg(16);
-    p.flags.ack = true;
-    p.window = kBigWindow;
-    b.flow.append_sack({FlowBuilder::seg(10), FlowBuilder::seg(11)});  // DSACK
+    p.tcp.seq = net::Seq32{kClientIsn + 201};
+    p.tcp.ack = FlowBuilder::seg(16);
+    p.tcp.flags.ack = true;
+    p.tcp.window = kBigWindow;
+    // A block below the cumulative ACK: a DSACK.
+    FlowBuilder::sack(p, {FlowBuilder::seg(10), FlowBuilder::seg(11)});
   }
   for (int i = 16; i < 20; ++i) b.data(t + 0.7, i);
   b.ack(t + 0.8, 20);
@@ -479,8 +495,8 @@ TEST(Analyzer, NoStallBeforeFirstRttSample) {
   // Without a handshake or any RTT sample the detector stays quiet (it has
   // no threshold to compare against).
   FlowBuilder b;
-  b.flow.saw_syn = false;
-  b.flow.saw_synack = false;
+  b.meta.saw_syn = false;
+  b.meta.saw_synack = false;
   b.request(0.1);
   b.data(5.0, 0);  // huge gap, but no SRTT yet
   b.ack(5.1, 1);
@@ -532,11 +548,11 @@ TEST(Analyzer, SpuriousFastRetransmitCountedViaDsack) {
   // ...but the original arrives: cumulative ack + DSACK for segment 0.
   {
     auto& p = b.add(t + 0.2, false);
-    p.seq = net::Seq32{kClientIsn + 201};
-    p.ack = FlowBuilder::seg(5);
-    p.flags.ack = true;
-    p.window = kBigWindow;
-    b.flow.append_sack({FlowBuilder::seg(0), FlowBuilder::seg(1)});
+    p.tcp.seq = net::Seq32{kClientIsn + 201};
+    p.tcp.ack = FlowBuilder::seg(5);
+    p.tcp.flags.ack = true;
+    p.tcp.window = kBigWindow;
+    FlowBuilder::sack(p, {FlowBuilder::seg(0), FlowBuilder::seg(1)});
   }
   const auto fa = b.analyze();
   EXPECT_EQ(fa.spurious_retrans, 1u);

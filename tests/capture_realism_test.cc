@@ -350,14 +350,13 @@ TEST(ConfigBuilders, AnalyzerConfigValidates) {
 }
 
 TEST(ConfigBuilders, DemuxOptionsValidates) {
+  // server_port is the one demux option; every port value is usable.
   analysis::DemuxOptions d;
-  EXPECT_THROW(d.with_min_packets(0), std::invalid_argument);
-  EXPECT_NO_THROW(d.with_server_port(8080).with_min_packets(2).validate());
-
-  analysis::DemuxOptions bad;
-  bad.min_packets = 0;
-  net::PacketTrace trace;
-  EXPECT_THROW(analysis::demux_flow_views(trace, bad), std::invalid_argument);
+  EXPECT_NO_THROW(d.with_server_port(8080));
+  EXPECT_EQ(d.server_port, 8080);
+  analysis::LiveConfig c;
+  EXPECT_NO_THROW(c.with_demux(d).validate());
+  EXPECT_EQ(c.demux.server_port, 8080);
 }
 
 TEST(ConfigBuilders, LiveConfigValidates) {
@@ -485,9 +484,7 @@ TEST(PcapSnaplen, TruncatedOptionsSurviveRoundTripAndAnalysis) {
   EXPECT_EQ(back[1].payload_len, 1448u);
 
   // The analyzer consumes the degraded capture and reports the truncation.
-  const auto result =
-      analysis::Analyzer{}.analyze(back, analysis::DemuxOptions{}
-                                             .with_min_packets(1));
+  const auto result = analysis::Analyzer{}.analyze(back);
   ASSERT_EQ(result.flows.size(), 1u);
   EXPECT_EQ(result.flows[0].capture.truncated_packets, 2u);
   EXPECT_LT(result.flows[0].capture.confidence, 1.0);

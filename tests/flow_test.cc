@@ -1,7 +1,12 @@
-// Tests for flow demultiplexing and handshake parameter extraction.
+// Tests for flow demultiplexing (the live flow table, reached through
+// Analyzer::analyze and LiveAnalyzer) and for per-connection orientation
+// and handshake parameter extraction (make_flow_view).
 #include <gtest/gtest.h>
 
-#include "tapo/flow.h"
+#include <vector>
+
+#include "tapo/analyzer.h"
+#include "tapo/live.h"
 
 namespace tapo::analysis {
 namespace {
@@ -19,6 +24,12 @@ net::CapturedPacket pkt(std::int64_t us, std::uint32_t sip, std::uint32_t dip,
   return p;
 }
 
+/// Collects what the live flow table finalizes, one FlowResult per flow.
+struct CollectSink : FlowSink {
+  std::vector<FlowResult> flows;
+  void consume(FlowResult&& r) override { flows.push_back(std::move(r)); }
+};
+
 TEST(Demux, SplitsByFourTuple) {
   net::PacketTrace trace;
   // Two connections, interleaved.
@@ -26,21 +37,29 @@ TEST(Demux, SplitsByFourTuple) {
   trace.add(pkt(2, 11, 20, 2222, 80, 100));
   trace.add(pkt(3, 20, 10, 80, 1111, 500));
   trace.add(pkt(4, 20, 11, 80, 2222, 500));
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 2u);
-  EXPECT_EQ(flows[0].packets.size(), 2u);
-  EXPECT_EQ(flows[1].packets.size(), 2u);
+  const AnalysisResult result = Analyzer{}.analyze(trace);
+  ASSERT_EQ(result.flows.size(), 2u);  // first-packet order
+  EXPECT_EQ(result.flows[0].key, (net::FlowKey{20, 10, 80, 1111}));
+  EXPECT_EQ(result.flows[1].key, (net::FlowKey{20, 11, 80, 2222}));
+
+  CollectSink sink;
+  LiveAnalyzer live(LiveConfig{}, sink);
+  for (const net::CapturedPacket& p : trace.packets()) live.add_packet(p);
+  live.flush();
+  ASSERT_EQ(sink.flows.size(), 2u);
+  EXPECT_EQ(sink.flows[0].packets, 2u);
+  EXPECT_EQ(sink.flows[1].packets, 2u);
 }
 
 TEST(Demux, BothDirectionsSameFlow) {
   net::PacketTrace trace;
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 1000));
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].packets.size(), 2u);
-  EXPECT_FALSE(flows[0].packets[0].from_server);
-  EXPECT_TRUE(flows[0].packets[1].from_server);
+  const FlowView view = make_flow_view(trace.packets());
+  ASSERT_EQ(view.packets.size(), 2u);
+  EXPECT_EQ(view.packets.data(), trace.packets().data());  // borrowed
+  EXPECT_NE(view.packets[0].key, view.server_to_client);  // client
+  EXPECT_EQ(view.packets[1].key, view.server_to_client);  // server
 }
 
 TEST(Demux, ServerIdentifiedBySynAck) {
@@ -55,20 +74,18 @@ TEST(Demux, ServerIdentifiedBySynAck) {
   trace.add(synack);
   // Client sends MORE payload than the server here — SYN-ACK still wins.
   trace.add(pkt(3, 10, 20, 1111, 80, 5000));
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].server_to_client.src_ip, 20u);
-  EXPECT_TRUE(flows[0].saw_syn);
-  EXPECT_TRUE(flows[0].saw_synack);
+  const FlowView flow = make_flow_view(trace.packets());
+  EXPECT_EQ(flow.server_to_client.src_ip, 20u);
+  EXPECT_TRUE(flow.saw_syn);
+  EXPECT_TRUE(flow.saw_synack);
 }
 
 TEST(Demux, ServerIdentifiedByPayloadWithoutHandshake) {
   net::PacketTrace trace;
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 9000));
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].server_to_client.src_ip, 20u);
+  const FlowView flow = make_flow_view(trace.packets());
+  EXPECT_EQ(flow.server_to_client.src_ip, 20u);
 }
 
 TEST(Demux, ServerPortOptionOverrides) {
@@ -77,9 +94,20 @@ TEST(Demux, ServerPortOptionOverrides) {
   trace.add(pkt(2, 20, 10, 8080, 1111, 10));
   DemuxOptions opts;
   opts.server_port = 8080;
-  const auto flows = demux_flows(trace, opts);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].server_to_client.src_port, 8080);
+  const AnalysisResult result = Analyzer{}.analyze(trace, opts);
+  ASSERT_EQ(result.flows.size(), 1u);
+  EXPECT_EQ(result.flows[0].key.src_port, 8080);
+  // Without the option the payload heuristic picks the other endpoint.
+  EXPECT_EQ(Analyzer{}.analyze(trace).flows[0].key.src_port, 1111);
+
+  // The live path honours the option too.
+  std::vector<FlowAnalysis> done;
+  LiveAnalyzer live(LiveConfig{}.with_demux(opts),
+                    [&done](const FlowAnalysis& fa) { done.push_back(fa); });
+  for (const net::CapturedPacket& p : trace.packets()) live.add_packet(p);
+  live.flush();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].key.src_port, 8080);
 }
 
 TEST(Demux, HandshakeParamsExtracted) {
@@ -102,9 +130,7 @@ TEST(Demux, HandshakeParamsExtracted) {
   ack.tcp.window = 100;  // scaled by 2^7 = 12800 bytes
   trace.add(ack);
 
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  const auto& f = flows[0];
+  const FlowView f = make_flow_view(trace.packets());
   EXPECT_EQ(f.client_isn, net::Seq32{999});
   EXPECT_EQ(f.server_isn, net::Seq32{7777});
   EXPECT_EQ(f.mss, 1400);
@@ -125,20 +151,8 @@ TEST(Demux, InitRwndFallsBackToSynWindow) {
   synack.tcp.flags.syn = true;
   synack.tcp.flags.ack = true;
   trace.add(synack);
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].init_rwnd_bytes, 4096u);
-}
-
-TEST(Demux, MinPacketsFilters) {
-  net::PacketTrace trace;
-  trace.add(pkt(1, 10, 20, 1111, 80, 100));  // singleton flow
-  trace.add(pkt(2, 11, 20, 2222, 80, 100));
-  trace.add(pkt(3, 20, 11, 80, 2222, 100));
-  DemuxOptions opts;
-  opts.min_packets = 2;
-  const auto flows = demux_flows(trace, opts);
-  EXPECT_EQ(flows.size(), 1u);
+  const FlowView flow = make_flow_view(trace.packets());
+  EXPECT_EQ(flow.init_rwnd_bytes, 4096u);
 }
 
 TEST(Demux, PayloadByteCounters) {
@@ -146,10 +160,9 @@ TEST(Demux, PayloadByteCounters) {
   trace.add(pkt(1, 10, 20, 1111, 80, 100));
   trace.add(pkt(2, 20, 10, 80, 1111, 1448));
   trace.add(pkt(3, 20, 10, 80, 1111, 1448));
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].server_payload_bytes, 2896u);
-  EXPECT_EQ(flows[0].client_payload_bytes, 100u);
+  const FlowView flow = make_flow_view(trace.packets());
+  EXPECT_EQ(flow.server_payload_bytes, 2896u);
+  EXPECT_EQ(flow.client_payload_bytes, 100u);
 }
 
 TEST(Demux, FinTracked) {
@@ -158,9 +171,8 @@ TEST(Demux, FinTracked) {
   auto fin = pkt(2, 20, 10, 80, 1111);
   fin.tcp.flags.fin = true;
   trace.add(fin);
-  const auto flows = demux_flows(trace);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_TRUE(flows[0].saw_fin);
+  const FlowView flow = make_flow_view(trace.packets());
+  EXPECT_TRUE(flow.saw_fin);
 }
 
 }  // namespace

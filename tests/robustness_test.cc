@@ -9,6 +9,7 @@
 #include "net/tcp_header.h"
 #include "pcap/pcap.h"
 #include "tapo/analyzer.h"
+#include "tapo/live.h"
 #include "util/rng.h"
 
 namespace tapo {
@@ -143,10 +144,20 @@ TEST(Fuzz, DemuxHandlesManyFlows) {
     p.payload_len = 100;
     trace.add(p);
   }
-  const auto flows = analysis::demux_flows(trace);
-  std::size_t total = 0;
-  for (const auto& f : flows) total += f.packets.size();
-  EXPECT_EQ(total, 5'000u);  // every packet lands in exactly one flow
+  // Every packet lands in exactly one flow of the live flow table.
+  struct PacketTally : FlowSink {
+    std::uint64_t flows = 0;
+    std::uint64_t packets = 0;
+    void consume(FlowResult&& r) override {
+      ++flows;
+      packets += r.packets;
+    }
+  } tally;
+  analysis::LiveAnalyzer live(analysis::LiveConfig{}, tally);
+  for (const net::CapturedPacket& p : trace.packets()) live.add_packet(p);
+  live.flush();
+  EXPECT_GT(tally.flows, 1'000u);
+  EXPECT_EQ(tally.packets, 5'000u);
 }
 
 TEST(Fuzz, AnalyzerHandlesSingleDirectionTrace) {

@@ -1,12 +1,15 @@
-// Zero-copy data-path tests: the view-based demux+analysis pipeline must be
-// bit-identical to the copying path on randomized simulated workloads, view
-// lifetimes must follow the sort-then-demux rule, and the pcap reader must
-// keep its arena consistent across rejected/truncated frames.
+// Zero-copy data-path tests: demuxing must be neutral — every flow of a
+// merged multi-flow trace analyzes bit-identically to that flow's packets
+// analyzed alone, on randomized simulated workloads in time-sorted and
+// shuffled capture order — and the pcap reader must keep its arena
+// consistent across rejected/truncated frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "pcap/pcap.h"
@@ -64,23 +67,31 @@ void expect_same_analysis(const FlowAnalysis& a, const FlowAnalysis& b) {
   }
 }
 
-/// Runs both pipelines over `trace` and asserts flow-by-flow equality.
-void expect_view_path_matches_copy_path(const net::PacketTrace& trace) {
-  const Analyzer analyzer;
-  const std::vector<Flow> flows = demux_flows(trace);
-  const FlowViewSet views = demux_flow_views(trace);
-  ASSERT_EQ(flows.size(), views.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    ASSERT_EQ(flows[i].packets.size(), views[i].size());
-    EXPECT_EQ(flows[i].server_to_client, views[i].server_to_client);
-    expect_same_analysis(analyzer.analyze_flow(flows[i]),
-                         analyzer.analyze_flow(views[i]));
+struct KeyLess {
+  bool operator()(const net::FlowKey& a, const net::FlowKey& b) const {
+    return std::tie(a.src_ip, a.dst_ip, a.src_port, a.dst_port) <
+           std::tie(b.src_ip, b.dst_ip, b.src_port, b.dst_port);
   }
-  // And through the Analyzer::analyze entry point (view path by default).
+};
+
+/// Demux neutrality: each flow of Analyzer::analyze(trace) must equal
+/// Analyzer::analyze of that flow's packets alone (split out here by
+/// canonical key, capture order kept).
+void expect_demux_neutral(const net::PacketTrace& trace) {
+  std::map<net::FlowKey, net::PacketTrace, KeyLess> alone;
+  for (const net::CapturedPacket& p : trace.packets()) {
+    alone[p.key.canonical()].add(p);
+  }
+  const Analyzer analyzer;
   const AnalysisResult whole = analyzer.analyze(trace);
-  ASSERT_EQ(whole.flows.size(), flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    expect_same_analysis(analyzer.analyze_flow(flows[i]), whole.flows[i]);
+  ASSERT_EQ(whole.flows.size(), alone.size());
+  for (const FlowAnalysis& fa : whole.flows) {
+    SCOPED_TRACE(fa.key.to_string());
+    const auto it = alone.find(fa.key.canonical());
+    ASSERT_NE(it, alone.end());
+    const AnalysisResult single = analyzer.analyze(it->second);
+    ASSERT_EQ(single.flows.size(), 1u);
+    expect_same_analysis(fa, single.flows[0]);
   }
 }
 
@@ -128,74 +139,33 @@ std::vector<ProfileCase> all_profiles() {
 }
 
 TEST(ZeroCopyProperty, ViewAnalysisBitIdenticalToCopyAnalysis) {
+  // Each flow analyzed in place in the shared flow table matches the same
+  // flow copied into a trace of its own.
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     net::PacketTrace trace = merged_trace(profile, /*seed=*/1234, 6);
     ASSERT_GT(trace.size(), 0u);
     trace.sort_by_time();  // interleave the flows chronologically
-    expect_view_path_matches_copy_path(trace);
+    expect_demux_neutral(trace);
   }
 }
 
 TEST(ZeroCopyProperty, HoldsOnShuffledCaptureOrder) {
-  // Demux preserves per-flow capture order whatever the global order is;
-  // both paths must agree on arbitrarily permuted traces too (their output
-  // just reflects the garbled timestamps identically).
+  // The flow table preserves per-flow capture order whatever the global
+  // order is, so neutrality holds on arbitrarily permuted traces too (the
+  // output just reflects the garbled timestamps identically).
   for (const auto& [name, profile] : all_profiles()) {
     SCOPED_TRACE(name);
     const net::PacketTrace base = merged_trace(profile, /*seed=*/77, 4);
     ASSERT_GT(base.size(), 0u);
     const net::PacketTrace garbled = shuffled(base, /*seed=*/5);
-    expect_view_path_matches_copy_path(garbled);
+    expect_demux_neutral(garbled);
   }
-}
-
-TEST(ZeroCopyProperty, ViewsSurviveSortCalledBeforeDemux) {
-  net::PacketTrace trace =
-      merged_trace(workload::cloud_storage_profile(), /*seed=*/99, 4);
-  // Shuffle, then follow the documented lifetime rule: sort FIRST, demux
-  // after. The views handed out then index the post-sort arena and must
-  // stay valid for the whole analysis.
-  net::PacketTrace work = shuffled(trace, /*seed=*/3);
-  work.sort_by_time();
-  const FlowViewSet views = demux_flow_views(work);
-  ASSERT_GT(views.size(), 0u);
-  const std::span<const net::CapturedPacket> arena = work.packets();
-  for (const FlowView& v : views) {
-    ASSERT_EQ(v.trace, &work);
-    TimePoint prev = TimePoint::epoch();
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const net::CapturedPacket& cp = v.packet(i);
-      // The reference really points into the trace arena...
-      EXPECT_GE(&cp, arena.data());
-      EXPECT_LT(&cp, arena.data() + arena.size());
-      // ...and per-flow packets are time-ordered after the pre-demux sort.
-      EXPECT_GE(cp.timestamp, prev);
-      prev = cp.timestamp;
-    }
-  }
-  // The sorted trace analyzes identically via both paths.
-  expect_view_path_matches_copy_path(work);
-}
-
-TEST(ZeroCopy, FlowViewSetSurvivesMove) {
-  net::PacketTrace trace =
-      merged_trace(workload::web_search_profile(), /*seed=*/11, 2);
-  FlowViewSet views = demux_flow_views(trace);
-  ASSERT_GT(views.size(), 0u);
-  const std::size_t n = views.size();
-  const net::CapturedPacket& first = views[0].packet(0);
-  const FlowViewSet moved = std::move(views);
-  ASSERT_EQ(moved.size(), n);
-  // Spans chase the index pool's heap buffer across the move.
-  EXPECT_EQ(&moved[0].packet(0), &first);
 }
 
 TEST(ZeroCopy, PacketRecordsStayCompact) {
-  // The static_asserts enforce these at compile time; restating the sizes
-  // here keeps the budget visible in test output when they change.
-  EXPECT_LE(sizeof(FlowPacket), 32u);
-  EXPECT_TRUE(std::is_trivially_copyable_v<FlowPacket>);
+  // The static_asserts enforce these at compile time; restating them here
+  // keeps the flat-arena contract visible in test output.
   EXPECT_TRUE(std::is_trivially_copyable_v<net::CapturedPacket>);
   EXPECT_TRUE(std::is_trivially_copyable_v<net::TcpHeader>);
 }
@@ -264,7 +234,7 @@ TEST(ZeroCopy, PcapTruncatedMidPacketKeepsCompleteRecords) {
     EXPECT_EQ(back[i].tcp.seq, trace[i].tcp.seq);
     EXPECT_EQ(back[i].payload_len, trace[i].payload_len);
   }
-  // The truncated capture still demuxes and analyzes cleanly via views.
+  // The truncated capture still demuxes and analyzes cleanly.
   const Analyzer analyzer;
   const auto result = analyzer.analyze(back);
   EXPECT_GE(result.flows.size(), 1u);

@@ -41,10 +41,10 @@
 //   config-mutation    Direct field assignment through a config-named
 //                      receiver (`cfg.tau = ...`, `imp.seed ^= ...`) in
 //                      src/. The validated config structs (AnalyzerConfig,
-//                      LiveConfig, DemuxOptions, ExperimentConfig,
-//                      CaptureImpairments) are built with aggregate init or
-//                      the fluent with_* setters, both of which validate
-//                      eagerly; a later field poke skips that validation.
+//                      LiveConfig, ExperimentConfig, CaptureImpairments)
+//                      are built with aggregate init or the fluent with_*
+//                      setters, both of which validate eagerly; a later
+//                      field poke skips that validation.
 //                      Bare assignments inside with_* bodies, designated
 //                      initializers (`.field = v`), declarations with
 //                      initializers and a class mutating its own `config_`
