@@ -66,11 +66,14 @@ void note_alloc(void* p) {
   }
 }
 
+void* counted_malloc(std::size_t n) noexcept {
+  void* p = std::malloc(n);
+  if (p != nullptr) note_alloc(p);
+  return p;
+}
+
 void* counted_alloc(std::size_t n) {
-  if (void* p = std::malloc(n)) {
-    note_alloc(p);
-    return p;
-  }
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc();
 }
 
@@ -83,8 +86,17 @@ void counted_free(void* p) {
 }
 }  // namespace
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): under AddressSanitizer they would otherwise come from the
+// sanitizer's allocator and reach the free() below as a mismatch.
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
 void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }

@@ -125,19 +125,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // One ingest surface for every mode: the chunked streaming reader. A
-  // budgeted or --live run hands each sealed chunk straight to the live
+  // Two ingest paths, one analysis engine. A budgeted or --live run pulls
+  // chunks from the streaming reader, hands each straight to the live
   // analyzer and drops it (bounded residency, files larger than RAM are
-  // fine); the plain batch run retains the chunks and analyzes them with
-  // the same engine — bit-identical output either way.
+  // fine); the plain batch run reads the whole file into one trace and
+  // analyzes it with the same engine — bit-identical output either way.
   util::MemoryBudget budget(mem_budget);
   if (mem_budget != 0) live_mode = true;
   analysis::AnalysisResult result;
   pcap::ReadStats rstats;
   try {
-    pcap::StreamingReader reader(path, pcap::StreamingOptions{
-                                           .budget = &budget});
     if (live_mode) {
+      pcap::StreamingReader reader(path, pcap::StreamingOptions{
+                                             .budget = &budget});
       const auto live_cfg = analysis::LiveConfig{}
                                 .with_analyzer(config)
                                 .with_demux(demux)
@@ -158,17 +158,11 @@ int main(int argc, char** argv) {
                   live.stats().active_flows, budget.high_water(),
                   mem_budget != 0 ? ", budgeted" : "");
     } else {
-      net::ChunkedTrace chunks(net::ChunkedTrace::kDefaultChunkPackets,
-                               nullptr, &budget);
-      while (auto chunk = reader.next_chunk()) {
-        for (const auto& pkt : chunk->packets()) chunks.add(pkt);
-      }
-      rstats = reader.stats();
+      const net::PacketTrace trace = pcap::read_file(path, &rstats);
       std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
                   path.c_str(), rstats.records, rstats.tcp_packets,
                   rstats.skipped);
-      analysis::Analyzer analyzer(config);
-      result = analyzer.analyze(chunks, demux);
+      result = analysis::Analyzer(config).analyze(trace, demux);
       std::printf("%zu flows reconstructed\n\n", result.flows.size());
     }
   } catch (const std::exception& e) {

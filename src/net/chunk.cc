@@ -1,111 +1,27 @@
 #include "net/chunk.h"
 
-#include <cassert>
 #include <utility>
 
 namespace tapo::net {
 
 TraceChunk::TraceChunk(std::size_t capacity_packets, util::MemoryBudget* budget)
-    : slots_(std::make_unique<CapturedPacket[]>(capacity_packets)),
-      cap_(capacity_packets),
-      budget_(budget) {
+    : budget_(budget) {
+  trace_.reserve(capacity_packets);
   if (budget_ != nullptr) budget_->charge(bytes());
-}
-
-TraceChunk::~TraceChunk() { release_budget(); }
-
-TraceChunk::TraceChunk(TraceChunk&& other) noexcept
-    : slots_(std::move(other.slots_)),
-      size_(other.size_),
-      cap_(other.cap_),
-      budget_(other.budget_) {
-  other.size_ = 0;
-  other.cap_ = 0;
-  other.budget_ = nullptr;
 }
 
 TraceChunk& TraceChunk::operator=(TraceChunk&& other) noexcept {
   if (this != &other) {
     release_budget();
-    slots_ = std::move(other.slots_);
-    size_ = other.size_;
-    cap_ = other.cap_;
-    budget_ = other.budget_;
-    other.size_ = 0;
-    other.cap_ = 0;
-    other.budget_ = nullptr;
+    trace_ = std::move(other.trace_);
+    budget_ = std::exchange(other.budget_, nullptr);
   }
   return *this;
 }
 
 void TraceChunk::release_budget() {
-  if (budget_ != nullptr && cap_ > 0) budget_->release(bytes());
+  if (budget_ != nullptr) budget_->release(bytes());
   budget_ = nullptr;
-}
-
-CapturedPacket& TraceChunk::append() {
-  assert(size_ < cap_);
-  slots_[size_] = CapturedPacket{};
-  return slots_[size_++];
-}
-
-void TraceChunk::pop_back() {
-  if (size_ > 0) --size_;
-}
-
-ChunkedTrace::ChunkedTrace(std::size_t chunk_packets, ChunkSink sink,
-                           util::MemoryBudget* budget)
-    : chunk_packets_(chunk_packets == 0 ? 1 : chunk_packets),
-      sink_(std::move(sink)),
-      budget_(budget) {}
-
-void ChunkedTrace::emit(TraceChunk&& chunk) {
-  if (sink_) {
-    sink_(std::move(chunk));
-  } else {
-    retained_.push_back(std::move(chunk));
-  }
-}
-
-CapturedPacket& ChunkedTrace::append() {
-  if (open_.capacity() == 0) {
-    open_ = TraceChunk(chunk_packets_, budget_);
-  } else if (open_.full()) {
-    // Lazy seal: the previous chunk leaves only now that a new packet
-    // arrives, so the last appended packet was still reachable for
-    // rollback until this moment.
-    emit(std::move(open_));
-    open_ = TraceChunk(chunk_packets_, budget_);
-  }
-  ++size_;
-  return open_.append();
-}
-
-void ChunkedTrace::pop_back() {
-  if (open_.empty()) return;
-  open_.pop_back();
-  --size_;
-}
-
-void ChunkedTrace::seal_open() {
-  if (!open_.empty()) emit(std::move(open_));
-  open_ = TraceChunk();
-}
-
-std::size_t ChunkedTrace::resident_bytes() const {
-  std::size_t total = open_.bytes();
-  for (const TraceChunk& c : retained_) total += c.bytes();
-  return total;
-}
-
-PacketTrace ChunkedTrace::to_trace() const {
-  PacketTrace out;
-  out.reserve(size_);
-  for (const TraceChunk& c : retained_) {
-    for (const CapturedPacket& pkt : c.packets()) out.add(pkt);
-  }
-  for (const CapturedPacket& pkt : open_.packets()) out.add(pkt);
-  return out;
 }
 
 }  // namespace tapo::net

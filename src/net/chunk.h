@@ -1,16 +1,12 @@
-// Fixed-size trace chunks: the bounded-memory counterpart of PacketTrace.
+// Fixed-size trace chunks: the unit the streaming pcap reader hands out.
 //
-// A TraceChunk is a sealed-capacity arena of CapturedPacket PODs. A
-// ChunkedTrace strings chunks together behind the same append/rollback
-// surface TraceBuilder exposes over a PacketTrace, but instead of growing
-// one arena forever it *seals* each chunk when the next one starts and
-// either hands it to a sink (streaming mode — the chunk's memory is
-// released as soon as the consumer drops it) or retains it (batch mode).
-//
-// Sealing is lazy: a full chunk is only emitted when the following append
-// arrives, so TraceBuilder::rollback_last can always reach the packet it
-// just claimed — the pcap readers' claim-then-rollback parse style keeps
-// working unchanged on the chunked path.
+// A TraceChunk is a PacketTrace reserved to exactly its capacity plus a
+// charge against a util::MemoryBudget. The reader (pcap::StreamingReader)
+// fills one chunk in place — claim a slot, parse into it, pop_back() it if
+// the frame is rejected — until it holds `capacity()` packets or the input
+// ends, then hands it to the consumer. Each append claims at most one slot
+// and a rollback only ever drops that slot, so it never reaches back into
+// a chunk that was already delivered.
 //
 // Budget accounting is RAII: a chunk constructed against a
 // util::MemoryBudget charges its capacity up front and releases it on
@@ -19,9 +15,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "net/trace.h"
 #include "util/memory_budget.h"
@@ -29,95 +24,36 @@
 namespace tapo::net {
 
 /// One fixed-capacity arena of packets. Move-only; the capacity is chosen
-/// at construction and never grows — full() tells the producer to start
-/// the next chunk.
+/// at construction and the producer must not append past it (full() tells
+/// it to stop), so the charge always matches the arena.
 class TraceChunk {
  public:
   TraceChunk() = default;
   explicit TraceChunk(std::size_t capacity_packets,
                       util::MemoryBudget* budget = nullptr);
-  ~TraceChunk();
-  TraceChunk(TraceChunk&& other) noexcept;
+  ~TraceChunk() { release_budget(); }
+  TraceChunk(TraceChunk&& other) noexcept { *this = std::move(other); }
   TraceChunk& operator=(TraceChunk&& other) noexcept;
   TraceChunk(const TraceChunk&) = delete;
   TraceChunk& operator=(const TraceChunk&) = delete;
 
-  /// Claims the next slot. Precondition: !full().
-  CapturedPacket& append();
-  /// Drops the most recently appended packet (TraceBuilder rollback).
-  void pop_back();
+  /// The arena the producer appends into (at most capacity() packets).
+  PacketTrace& trace() { return trace_; }
 
-  std::span<const CapturedPacket> packets() const { return {slots_.get(), size_}; }
-  const CapturedPacket& operator[](std::size_t i) const { return slots_[i]; }
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return cap_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == cap_; }
+  std::span<const CapturedPacket> packets() const { return trace_.packets(); }
+  const CapturedPacket& operator[](std::size_t i) const { return trace_[i]; }
+  std::size_t size() const { return trace_.size(); }
+  std::size_t capacity() const { return trace_.capacity(); }
+  bool empty() const { return trace_.empty(); }
+  bool full() const { return size() == capacity(); }
   /// Arena footprint in bytes (what the budget was charged).
-  std::size_t bytes() const { return cap_ * sizeof(CapturedPacket); }
+  std::size_t bytes() const { return trace_.capacity_bytes(); }
 
  private:
   void release_budget();
 
-  std::unique_ptr<CapturedPacket[]> slots_;
-  std::size_t size_ = 0;
-  std::size_t cap_ = 0;
+  PacketTrace trace_;
   util::MemoryBudget* budget_ = nullptr;
-};
-
-/// Append surface producing sealed TraceChunks. With a sink: streaming —
-/// every sealed chunk is handed over immediately and only the open tail
-/// chunk stays resident. Without a sink: the sealed chunks are retained
-/// in order (a chunked drop-in for a growing PacketTrace).
-class ChunkedTrace {
- public:
-  using ChunkSink = std::function<void(TraceChunk&&)>;
-
-  /// Default chunk granularity: ~4K packets per chunk keeps the open-chunk
-  /// residency in the hundreds of KiB while amortizing sink overhead.
-  static constexpr std::size_t kDefaultChunkPackets = 4096;
-
-  explicit ChunkedTrace(std::size_t chunk_packets = kDefaultChunkPackets,
-                        ChunkSink sink = nullptr,
-                        util::MemoryBudget* budget = nullptr);
-
-  CapturedPacket& append();
-  void add(const CapturedPacket& pkt) { append() = pkt; }
-  /// Drops the most recently appended packet. Lazy sealing guarantees it
-  /// still lives in the open chunk.
-  void pop_back();
-
-  /// Seals and emits the open tail chunk (end of input). Appending after
-  /// this starts a fresh chunk.
-  void seal_open();
-
-  /// Total packets appended (net of rollbacks), across all chunks.
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t chunk_packets() const { return chunk_packets_; }
-
-  /// Retained chunks (batch mode; empty when a sink drains them).
-  const std::vector<TraceChunk>& chunks() const { return retained_; }
-  /// Packets in the open (unsealed) tail chunk, after the retained ones.
-  std::span<const CapturedPacket> open_packets() const {
-    return open_.packets();
-  }
-  /// Bytes held by this object right now: retained chunks + open tail.
-  std::size_t resident_bytes() const;
-
-  /// Materializes retained + open packets into one contiguous trace
-  /// (batch-mode adapter; order preserved).
-  PacketTrace to_trace() const;
-
- private:
-  void emit(TraceChunk&& chunk);
-
-  std::size_t chunk_packets_;
-  ChunkSink sink_;
-  util::MemoryBudget* budget_;
-  TraceChunk open_;
-  std::vector<TraceChunk> retained_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace tapo::net

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
-#include "net/chunk.h"
 #include "net/ipv4.h"
 #include "util/strings.h"
 
@@ -34,8 +34,15 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
+PacketTrace& PacketTrace::operator=(PacketTrace&& other) noexcept {
+  slots_ = std::move(other.slots_);
+  size_ = std::exchange(other.size_, 0);
+  cap_ = std::exchange(other.cap_, 0);
+  return *this;
+}
+
 CapturedPacket& PacketTrace::append() {
-  if (size_ == cap_) grow_to(size_ + 1);
+  if (size_ == cap_) relocate(grown_capacity(size_ + 1));
   slots_[size_] = CapturedPacket{};
   return slots_[size_++];
 }
@@ -49,11 +56,9 @@ std::size_t PacketTrace::grown_capacity(std::size_t need) const {
   return doubled < need ? need : doubled;
 }
 
-void PacketTrace::grow_to(std::size_t need) {
-  if (need <= cap_) return;
-  // Geometric growth; packets are relocated with a flat copy (they are
-  // trivially copyable by static_assert).
-  const std::size_t new_cap = grown_capacity(need);
+void PacketTrace::relocate(std::size_t new_cap) {
+  // Packets are relocated with a flat copy (they are trivially copyable by
+  // static_assert).
   auto new_slots = std::make_unique<CapturedPacket[]>(new_cap);
   if (size_ > 0) std::copy_n(slots_.get(), size_, new_slots.get());
   slots_ = std::move(new_slots);
@@ -67,30 +72,9 @@ void PacketTrace::sort_by_time() {
                    });
 }
 
-CapturedPacket& TraceBuilder::begin_packet() {
-  return trace_ != nullptr ? trace_->append() : chunks_->append();
-}
-
-void TraceBuilder::rollback_last() {
-  if (trace_ != nullptr) {
-    trace_->pop_back();
-  } else {
-    chunks_->pop_back();
-  }
-}
-
-void TraceBuilder::reserve(std::size_t n) {
-  if (trace_ != nullptr) trace_->reserve(n);
-}
-
-std::size_t TraceBuilder::size() const {
-  if (trace_ != nullptr) return trace_->size();
-  return chunks_ != nullptr ? chunks_->size() : 0;
-}
-
 PacketTrace PacketTrace::clone() const {
   PacketTrace out;
-  out.grow_to(size_);
+  out.reserve(size_);
   if (size_ > 0) std::copy_n(slots_.get(), size_, out.slots_.get());
   out.size_ = size_;
   return out;

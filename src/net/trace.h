@@ -9,19 +9,24 @@
 //
 // Memory layout: CapturedPacket is a trivially copyable POD (no heap
 // pointers — SACK blocks are inline in the TcpHeader), and a PacketTrace is
-// a contiguous arena of them. Growth relocates with a flat copy, consumers
-// read through std::span views, and whole traces move between pipeline
-// stages (simulator -> analyzer -> sink) by pointer swap, never by copying
-// packets. View lifetime rule: spans and references into the arena stay
-// valid until the next mutating call (append/add/pop_back/sort_by_time).
+// a contiguous arena of them. It is the only container packets are written
+// into: the simulator's capture point, the pcap readers (whole-file and,
+// through net::TraceChunk, chunk by chunk) and the live flow table all
+// append to one. Producers claim a slot with append(), fill it in place and
+// pop_back() it when the frame turns out not to be a TCP packet. Growth
+// relocates with a flat copy, consumers read through std::span views, and
+// whole traces move between pipeline stages (simulator -> analyzer -> sink)
+// by pointer swap, never by copying packets. View lifetime rule: spans and
+// references into the arena stay valid until the next mutating call
+// (append/add/pop_back/reserve/sort_by_time).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "net/tcp_header.h"
 #include "util/time.h"
@@ -79,8 +84,9 @@ static_assert(std::is_trivially_copyable_v<CapturedPacket>,
 class PacketTrace {
  public:
   PacketTrace() = default;
-  PacketTrace(PacketTrace&&) noexcept = default;
-  PacketTrace& operator=(PacketTrace&&) noexcept = default;
+  /// Moves leave the source empty (size and capacity 0), not stale.
+  PacketTrace(PacketTrace&& other) noexcept { *this = std::move(other); }
+  PacketTrace& operator=(PacketTrace&& other) noexcept;
   PacketTrace(const PacketTrace&) = delete;
   PacketTrace& operator=(const PacketTrace&) = delete;
 
@@ -90,8 +96,13 @@ class PacketTrace {
   CapturedPacket& append();
 
   void add(const CapturedPacket& pkt) { append() = pkt; }
-  void reserve(std::size_t n) { grow_to(n); }
-  /// Drops the most recently appended packet (TraceBuilder rollback).
+  /// Grows the arena to exactly `n` slots (no-op if it already holds that
+  /// many); appends then fill it without relocating until it is full.
+  void reserve(std::size_t n) {
+    if (n > cap_) relocate(n);
+  }
+  /// Drops the most recently appended packet (a producer's rollback of a
+  /// slot whose frame was rejected).
   void pop_back();
 
   /// Stable view of the whole arena; valid until the next mutating call.
@@ -100,6 +111,8 @@ class PacketTrace {
   bool empty() const { return size_ == 0; }
   const CapturedPacket& operator[](std::size_t i) const { return slots_[i]; }
 
+  /// Slots in the arena (appends beyond it relocate).
+  std::size_t capacity() const { return cap_; }
   /// Arena footprint in bytes (capacity, not just size).
   std::size_t capacity_bytes() const { return cap_ * sizeof(CapturedPacket); }
   /// Arena footprint after one more append(), without allocating — lets a
@@ -121,45 +134,12 @@ class PacketTrace {
  private:
   /// The growth policy: 64 slots first, then doubling (at least `need`).
   std::size_t grown_capacity(std::size_t need) const;
-  void grow_to(std::size_t need);
+  /// Moves the packets into a fresh arena of exactly `new_cap` slots.
+  void relocate(std::size_t new_cap);
 
   std::unique_ptr<CapturedPacket[]> slots_;
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
-};
-
-class ChunkedTrace;
-
-/// Append-only writer facade over a packet arena. Producers (the
-/// simulator's server-NIC capture point, the pcap readers) obtain a slot
-/// with begin_packet(), fill it in place, and either keep it or roll it
-/// back when the frame turns out not to be a TCP packet — no intermediate
-/// CapturedPacket is ever materialized outside the arena.
-///
-/// Two backends share the facade: a growing PacketTrace (batch) or a
-/// ChunkedTrace (streaming — sealed chunks leave as the producer writes,
-/// so residency stays bounded). A default-constructed builder is detached:
-/// attached() is false and begin_packet() must not be called, which lets
-/// capture points carry one builder member for both captured and
-/// capture-off runs.
-class TraceBuilder {
- public:
-  TraceBuilder() = default;
-  explicit TraceBuilder(PacketTrace& trace) : trace_(&trace) {}
-  explicit TraceBuilder(ChunkedTrace& chunks) : chunks_(&chunks) {}
-
-  bool attached() const { return trace_ != nullptr || chunks_ != nullptr; }
-
-  CapturedPacket& begin_packet();
-  /// Discards the slot handed out by the last begin_packet().
-  void rollback_last();
-  /// Capacity hint; the chunked backend sizes itself and ignores it.
-  void reserve(std::size_t n);
-  std::size_t size() const;
-
- private:
-  PacketTrace* trace_ = nullptr;
-  ChunkedTrace* chunks_ = nullptr;
 };
 
 }  // namespace tapo::net

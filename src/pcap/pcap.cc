@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <fstream>
 #include <span>
 #include <stdexcept>
@@ -156,13 +155,13 @@ std::size_t link_header_for(std::uint32_t linktype) {
 }
 
 /// Parses one link-layer frame straight into the trace arena: a slot is
-/// claimed from the builder, the TCP header is decoded in place, and the
-/// slot is rolled back for non-IPv4/non-TCP/truncated frames — no
-/// CapturedPacket is ever materialized outside the arena. Returns false
-/// (and bumps skipped) when the frame is rejected.
+/// appended, the TCP header is decoded in place, and the slot is popped
+/// again for frames whose TCP header does not parse — no CapturedPacket is
+/// ever materialized outside the arena. Returns false (and bumps skipped)
+/// when the frame is rejected; the trace then holds exactly what it held
+/// before the call.
 bool parse_frame(std::span<const std::uint8_t> p, std::uint32_t linktype,
-                 std::int64_t ts_us, net::TraceBuilder& builder,
-                 ReadStats& st) {
+                 std::int64_t ts_us, net::PacketTrace& trace, ReadStats& st) {
   const std::size_t link_header = link_header_for(linktype);
   if (link_header > 0) {
     if (p.size() < link_header) {
@@ -197,12 +196,12 @@ bool parse_frame(std::span<const std::uint8_t> p, std::uint32_t linktype,
       p.size() > ip_hlen ? std::min(p.size() - ip_hlen, wire_tcp_len) : 0;
   std::span<const std::uint8_t> tcp_bytes = p.subspan(ip_hlen, captured_tcp_len);
 
-  net::CapturedPacket& cp = builder.begin_packet();
+  net::CapturedPacket& cp = trace.append();
   std::size_t tcp_hlen = 0;
   bool opts_truncated = false;
   if (!net::TcpHeader::parse(tcp_bytes, cp.tcp, tcp_hlen, &opts_truncated) ||
       wire_tcp_len < tcp_hlen) {
-    builder.rollback_last();
+    trace.pop_back();
     ++st.skipped;
     return false;
   }
@@ -217,16 +216,16 @@ bool parse_frame(std::span<const std::uint8_t> p, std::uint32_t linktype,
 }
 
 /// Resumable frame parser: each next() call advances the input until one
-/// TCP packet has been appended through the builder (true) or the input
-/// ends (false). Holding parse state in the object — instead of locals of
-/// a one-shot read loop — is what lets the StreamingReader pull a chunk,
-/// hand it off, and come back for more.
+/// TCP packet has been appended to the trace (true) or the input ends
+/// (false), so a call appends at most one packet. Holding parse state in
+/// the object — instead of locals of a one-shot read loop — is what lets
+/// the StreamingReader fill a chunk, hand it off, and come back for more.
 class FrameParser {
  public:
   virtual ~FrameParser() = default;
   /// Throws std::runtime_error with record/offset context on malformed
   /// input. The same ReadStats must be passed on every call.
-  virtual bool next(net::TraceBuilder& builder, ReadStats& st) = 0;
+  virtual bool next(net::PacketTrace& trace, ReadStats& st) = 0;
 };
 
 class ClassicParser final : public FrameParser {
@@ -255,7 +254,7 @@ class ClassicParser final : public FrameParser {
     link_header_for(linktype_);  // validate up front
   }
 
-  bool next(net::TraceBuilder& builder, ReadStats& st) override {
+  bool next(net::PacketTrace& trace, ReadStats& st) override {
     std::array<std::uint8_t, 16> rh;
     while (true) {
       const std::size_t record_start = reader_.offset();
@@ -277,7 +276,7 @@ class ClassicParser final : public FrameParser {
                 : static_cast<std::int64_t>(ts_frac);
       if (parse_frame(frame, linktype_,
                       static_cast<std::int64_t>(ts_sec) * 1'000'000 + frac_us,
-                      builder, st)) {
+                      trace, st)) {
         return true;
       }
     }
@@ -311,7 +310,7 @@ class NgParser final : public FrameParser {
   /// processed on the first next() call.
   explicit NgParser(ByteReader& reader) : reader_(reader) {}
 
-  bool next(net::TraceBuilder& builder, ReadStats& st) override {
+  bool next(net::PacketTrace& trace, ReadStats& st) override {
     while (true) {
       std::size_t block_start = reader_.offset();
       std::uint32_t block_type = kNgShb;
@@ -430,7 +429,7 @@ class NgParser final : public FrameParser {
             static_cast<double>(ifc.ts_per_sec));
         if (parse_frame(std::span<const std::uint8_t>(body_.data() + 20,
                                                       caplen),
-                        ifc.linktype, ts_us, builder, st)) {
+                        ifc.linktype, ts_us, trace, st)) {
           return true;
         }
         continue;
@@ -481,8 +480,7 @@ net::PacketTrace read_stream(std::istream& in, ReadStats* stats) {
   ByteReader reader(in);
   const std::unique_ptr<FrameParser> parser = open_parser(reader);
   net::PacketTrace trace;
-  net::TraceBuilder builder(trace);
-  while (parser->next(builder, st)) {
+  while (parser->next(trace, st)) {
   }
   return trace;
 }
@@ -500,10 +498,8 @@ struct StreamingReader::Impl {
   ByteReader reader;
   std::unique_ptr<FrameParser> parser;
   ReadStats stats;
-  /// Chunks sealed by the ChunkedTrace sink, waiting to be pulled. Lazy
-  /// sealing means at most one chunk sits here between next_chunk calls.
-  std::deque<net::TraceChunk> pending;
-  net::ChunkedTrace chunks;
+  std::size_t chunk_packets;
+  util::MemoryBudget* budget;
   bool eof = false;
 
   /// Chunks must be small relative to a limited budget: a chunk is the
@@ -512,7 +508,7 @@ struct StreamingReader::Impl {
   /// chunk at 1/8 of the budget (min one packet) and let an explicit
   /// smaller chunk_packets override win.
   static std::size_t effective_chunk_packets(const Options& opts) {
-    std::size_t n = opts.chunk_packets;
+    std::size_t n = std::max<std::size_t>(1, opts.chunk_packets);
     if (opts.budget != nullptr && !opts.budget->unlimited()) {
       const std::size_t cap = std::max<std::size_t>(
           1, opts.budget->limit() / (8 * sizeof(net::CapturedPacket)));
@@ -526,9 +522,8 @@ struct StreamingReader::Impl {
       : owned(std::move(own)),
         reader(in),
         parser(open_parser(reader)),
-        chunks(effective_chunk_packets(opts),
-               [this](net::TraceChunk&& c) { pending.push_back(std::move(c)); },
-               opts.budget) {}
+        chunk_packets(effective_chunk_packets(opts)),
+        budget(opts.budget) {}
 };
 
 StreamingReader::StreamingReader(const std::string& path, Options opts) {
@@ -548,19 +543,16 @@ StreamingReader& StreamingReader::operator=(StreamingReader&&) noexcept =
 
 std::optional<net::TraceChunk> StreamingReader::next_chunk() {
   Impl& im = *impl_;
-  while (im.pending.empty() && !im.eof) {
-    net::TraceBuilder builder(im.chunks);
-    if (!im.parser->next(builder, im.stats)) {
+  if (im.eof) return std::nullopt;
+  net::TraceChunk chunk(im.chunk_packets, im.budget);
+  while (!chunk.full()) {
+    if (!im.parser->next(chunk.trace(), im.stats)) {
       im.eof = true;
-      im.chunks.seal_open();  // tail chunk (possibly empty) flushes here
+      break;
     }
   }
-  if (!im.pending.empty()) {
-    net::TraceChunk chunk = std::move(im.pending.front());
-    im.pending.pop_front();
-    return chunk;
-  }
-  return std::nullopt;
+  if (chunk.empty()) return std::nullopt;
+  return chunk;
 }
 
 const ReadStats& StreamingReader::stats() const { return impl_->stats; }

@@ -12,6 +12,10 @@
 // analyzer, and handle both endiannesses, the nanosecond classic magic,
 // and per-interface pcapng timestamp resolutions. The format is
 // auto-detected from the leading magic.
+//
+// Two ways to read, one parser: read_file/read_stream parse a whole
+// capture into one PacketTrace; StreamingReader parses it chunk by chunk,
+// filling one fixed-size net::TraceChunk in place per call.
 #pragma once
 
 #include <cstdint>
@@ -53,17 +57,27 @@ net::PacketTrace read_file(const std::string& path, ReadStats* stats = nullptr);
 net::PacketTrace read_stream(std::istream& in, ReadStats* stats = nullptr);
 
 /// Pull-based chunked reader: the same auto-detected parsers as
-/// read_stream, but packets are delivered as sealed fixed-size TraceChunks
-/// so a file larger than RAM streams through bounded memory. The
-/// claim-then-rollback parse semantics (and `truncated` flagging) are
-/// identical to the batch path — concatenating every chunk reproduces
-/// read_stream's trace bit for bit.
+/// read_stream, but packets are delivered as fixed-size TraceChunks so a
+/// file larger than RAM streams through bounded memory. Each next_chunk()
+/// call fills one chunk in place until it holds `chunk_packets` packets or
+/// the input ends; the parser claims at most one slot per step and rolls
+/// back only that slot, so concatenating every chunk reproduces
+/// read_stream's trace bit for bit (`truncated` flagging included).
+///
+/// Errors: a malformed record throws from next_chunk() with read_stream's
+/// message. A chunk is returned as soon as it is full, before the record
+/// after it is read, so a malformed record right after a full chunk
+/// surfaces on the *next* next_chunk() call, once that chunk has been
+/// delivered.
 ///
 /// With Options::budget set, each chunk is charged against the pipeline's
 /// MemoryBudget for as long as it lives (TraceChunk releases on
-/// destruction), so the reader and the analyzer share one ledger.
+/// destruction), so the reader and the analyzer share one ledger. The
+/// reader holds no chunk between calls.
 struct StreamingOptions {
-  std::size_t chunk_packets = net::ChunkedTrace::kDefaultChunkPackets;
+  /// Packets per chunk; 0 means 1. ~4K packets keeps a chunk in the
+  /// hundreds of KiB while amortizing the per-chunk hand-off.
+  std::size_t chunk_packets = 4096;
   util::MemoryBudget* budget = nullptr;
 };
 
@@ -80,8 +94,8 @@ class StreamingReader {
   StreamingReader(StreamingReader&&) noexcept;
   StreamingReader& operator=(StreamingReader&&) noexcept;
 
-  /// Next sealed chunk, or nullopt at end of input. Throws on malformed
-  /// records (same messages as read_stream).
+  /// Next chunk (full unless the input ended), or nullopt at end of
+  /// input. Throws on malformed records (same messages as read_stream).
   std::optional<net::TraceChunk> next_chunk();
 
   /// Cumulative counters over everything parsed so far.

@@ -117,7 +117,7 @@ class CaptureChannel {
 
   // Documented borrow: the ctor contract pins `out` for the channel's
   // whole lifetime, and the sink is a caller-owned batch trace, never a
-  // sealed chunk. tapo-lint: allow(trace-retain)
+  // reader chunk. tapo-lint: allow(trace-retain)
   net::PacketTrace* out_;
   CaptureImpairments imp_;
   Rng rng_;

@@ -9,7 +9,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "net/chunk.h"
 #include "tapo/live.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
@@ -977,19 +976,14 @@ FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
   return out;
 }
 
-namespace {
-
-/// Batch-over-streaming adapter: feeds every packet `for_each` yields
-/// through an unbounded LiveAnalyzer (no timeouts, no caps — nothing
-/// finalizes until flush, so every flow is analyzed whole, exactly like
-/// the old batch path), then restores first-packet flow order, which the
-/// LRU-driven flush does not preserve.
-template <typename ForEachPacket>
-AnalysisResult analyze_streamed(const AnalyzerConfig& config,
-                                const DemuxOptions& demux,
-                                ForEachPacket&& for_each) {
+AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
+                                 const DemuxOptions& demux) const {
+  // Batch over the streaming engine: every packet goes through an
+  // unbounded LiveAnalyzer (no timeouts, no caps — nothing finalizes until
+  // flush, so every flow is analyzed whole), then first-packet flow order,
+  // which the LRU-driven flush does not preserve, is restored.
   LiveConfig live_config;
-  live_config.with_analyzer(config)
+  live_config.with_analyzer(config_)
       .with_demux(demux)
       .with_idle_timeout(Duration::max())
       .with_fin_linger(Duration::max())
@@ -1000,10 +994,10 @@ AnalysisResult analyze_streamed(const AnalyzerConfig& config,
   LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
       [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
   std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
-  for_each([&](const net::CapturedPacket& pkt) {
+  for (const net::CapturedPacket& pkt : trace.packets()) {
     first_seen.try_emplace(pkt.key.canonical(), first_seen.size());
     live.add_packet(pkt);
-  });
+  }
   live.flush();
   std::stable_sort(result.flows.begin(), result.flows.end(),
                    [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
@@ -1011,25 +1005,6 @@ AnalysisResult analyze_streamed(const AnalyzerConfig& config,
                             first_seen.at(b.key.canonical());
                    });
   return result;
-}
-
-}  // namespace
-
-AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
-                                 const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::CapturedPacket& pkt : trace.packets()) feed(pkt);
-  });
-}
-
-AnalysisResult Analyzer::analyze(const net::ChunkedTrace& trace,
-                                 const DemuxOptions& demux) const {
-  return analyze_streamed(config_, demux, [&trace](auto&& feed) {
-    for (const net::TraceChunk& chunk : trace.chunks()) {
-      for (const net::CapturedPacket& pkt : chunk.packets()) feed(pkt);
-    }
-    for (const net::CapturedPacket& pkt : trace.open_packets()) feed(pkt);
-  });
 }
 
 }  // namespace tapo::analysis

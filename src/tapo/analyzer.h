@@ -223,9 +223,6 @@ class Analyzer {
   /// arena is oriented with make_flow_view and analyzed in place.
   AnalysisResult analyze(const net::PacketTrace& trace,
                          const DemuxOptions& demux = {}) const;
-  /// Same, over a chunked trace (retained chunks + open tail, in order).
-  AnalysisResult analyze(const net::ChunkedTrace& trace,
-                         const DemuxOptions& demux = {}) const;
 
   const AnalyzerConfig& config() const { return config_; }
 

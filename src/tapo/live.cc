@@ -162,12 +162,19 @@ std::size_t LiveAnalyzer::charge_after_append(const Entry& entry) const {
 
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
-  // the open ingest chunk plus the finalize-time transient (the mimic's
-  // per-packet and per-segment state), which scales with the largest
-  // buffered flow — i.e. with the retained half. This is what keeps the
-  // allocator-measured process peak, not just the ledger, under the cap
-  // (bench/streaming_scale gates exactly that).
+  // the finalize-time transient (the mimic's per-packet and per-segment
+  // state), which lives outside the ledger and scales with the flow being
+  // analyzed. This is what keeps the allocator-measured process peak, not
+  // just the ledger, under the cap (bench/streaming_scale gates exactly
+  // that).
   return config_.mem_budget->limit() / 2;
+}
+
+std::size_t LiveAnalyzer::max_flow_bytes() const {
+  // The finalize transient runs up to about twice the flow's arena (1.75x
+  // measured on a full 1024-slot arena), so a flow capped at a quarter of
+  // the cap keeps it inside the headroom above soft_limit().
+  return config_.mem_budget->limit() / 4;
 }
 
 void LiveAnalyzer::evict_for(std::size_t incoming, const net::FlowKey* keep) {
@@ -221,10 +228,9 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
     lru_.push_back(key);
     it->second.lru_it = std::prev(lru_.end());
   } else {
-    // Move to the back of the LRU.
-    lru_.erase(it->second.lru_it);
-    lru_.push_back(key);
-    it->second.lru_it = std::prev(lru_.end());
+    // Move to the back of the LRU: relinks the node, so `lru_it` stays
+    // valid and nothing is freed or allocated.
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
   }
 
   // Make room for the projected arena growth BEFORE add() allocates it —
@@ -235,11 +241,14 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
     const std::size_t want = charge_after_append(it->second);
     if (want > it->second.charged_bytes) {
       const std::size_t delta = want - it->second.charged_bytes;
-      evict_for(delta, &key);
-      // Still no room with every other flow gone: this one flow outgrows
-      // the budget on its own. Analyze what we have and restart the
-      // window, exactly like the max_packets_per_flow truncation path.
-      if (config_.mem_budget->resident() + delta > soft_limit() &&
+      const bool outgrows = want > max_flow_bytes();
+      if (!outgrows) evict_for(delta, &key);
+      // Past the per-flow cap, or still no room with every other flow
+      // gone: this one flow outgrows the budget on its own. Analyze what
+      // we have and restart the window, exactly like the
+      // max_packets_per_flow truncation path.
+      if ((outgrows ||
+           config_.mem_budget->resident() + delta > soft_limit()) &&
           !it->second.trace.empty()) {
         ++stats_.budget_evictions;
         count_flow_event("budget");

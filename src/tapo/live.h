@@ -44,14 +44,15 @@ struct LiveConfig {
   /// arena footprint plus a fixed per-flow overhead; once residency
   /// crosses the soft limit (half the cap) the least-recently-active
   /// flows are analyzed-and-dropped until back under it, and a single
-  /// flow that outgrows the budget alone is analyzed-and-restarted like
-  /// the max_packets_per_flow truncation path. An evicted flow that
-  /// keeps sending restarts mid-stream, which the classifier already
-  /// surfaces as capture-suspect rather than inventing a stall cause.
-  /// The half-budget headroom keeps the *peak* (which includes the open
-  /// ingest chunk and the finalize-time transients that scale with the
-  /// largest buffered flow) under the configured cap, not just the
-  /// steady state.
+  /// flow that would grow past a quarter of the cap, or outgrows the
+  /// budget alone, is analyzed-and-restarted like the
+  /// max_packets_per_flow truncation path. An evicted flow that keeps
+  /// sending restarts mid-stream, which the classifier already surfaces
+  /// as capture-suspect rather than inventing a stall cause. The
+  /// half-budget headroom keeps the *peak* (which includes the
+  /// finalize-time transient of the flow being analyzed, bounded by the
+  /// per-flow quarter) under the configured cap, not just the steady
+  /// state.
   util::MemoryBudget* mem_budget = nullptr;
 
   // Fluent construction (aggregate-init keeps working); setters validate
@@ -103,7 +104,7 @@ class LiveAnalyzer {
   /// the packet's timestamp drives idle-timeout bookkeeping.
   void add_packet(const net::CapturedPacket& pkt);
 
-  /// Feeds every packet of a sealed chunk (the StreamingReader hand-off).
+  /// Feeds every packet of a chunk (the StreamingReader hand-off).
   /// The chunk stays owned by the caller; its packets are copied into the
   /// per-flow arenas, so the caller should drop the chunk right after —
   /// holding both doubles residency.
@@ -138,6 +139,8 @@ class LiveAnalyzer {
   std::size_t charge_after_append(const Entry& entry) const;
   /// Eviction threshold: half the cap (see LiveConfig::mem_budget).
   std::size_t soft_limit() const;
+  /// Largest ledger charge one flow may grow to: a quarter of the cap.
+  std::size_t max_flow_bytes() const;
   /// Analyzes-and-drops LRU-front flows while the shared ledger plus
   /// `incoming` bytes sits above the soft limit. Never drops `keep`
   /// (the flow about to receive the incoming bytes).

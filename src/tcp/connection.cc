@@ -29,13 +29,7 @@ std::optional<net::SackBlock> extract_dsack(const net::TcpHeader& tcp) {
 }  // namespace
 
 Connection::Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-                       ConnectionConfig config, net::PacketTrace* trace)
-    : Connection(sim, down, up, std::move(config),
-                 trace != nullptr ? net::TraceBuilder(*trace)
-                                  : net::TraceBuilder()) {}
-
-Connection::Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-                       ConnectionConfig config, net::TraceBuilder capture)
+                       ConnectionConfig config, net::PacketTrace* capture)
     : sim_(sim),
       down_(down),
       up_(up),
@@ -79,10 +73,10 @@ net::CapturedPacket Connection::make_packet(bool from_client) const {
 }
 
 void Connection::capture_at_server(const net::CapturedPacket& pkt) {
-  if (capture_.attached()) {
-    // Write straight into the capture backend; only the capture timestamp
+  if (capture_ != nullptr) {
+    // Write straight into the capture arena; only the capture timestamp
     // differs from the wire packet.
-    net::CapturedPacket& slot = capture_.begin_packet();
+    net::CapturedPacket& slot = capture_->append();
     slot = pkt;
     slot.timestamp = sim_.now();
   }

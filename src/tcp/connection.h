@@ -82,16 +82,10 @@ struct ConnectionMetrics {
 class Connection {
  public:
   /// `down` carries server->client packets, `up` client->server.
-  /// `capture` is the server-NIC tap: a detached builder (default state)
-  /// disables capture; an attached one receives every packet crossing the
-  /// server NIC, whichever backend (contiguous arena or chunked stream)
-  /// it fronts.
+  /// `capture` is the server-NIC tap: every packet crossing the server NIC
+  /// is appended to it; nullptr disables capture.
   Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-             ConnectionConfig config, net::TraceBuilder capture);
-  /// Compatibility: capture straight into a caller-owned arena (nullptr
-  /// disables capture).
-  Connection(sim::Simulator& sim, sim::Link& down, sim::Link& up,
-             ConnectionConfig config, net::PacketTrace* trace);
+             ConnectionConfig config, net::PacketTrace* capture);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -130,7 +124,10 @@ class Connection {
   sim::Link& down_;
   sim::Link& up_;
   ConnectionConfig config_;
-  net::TraceBuilder capture_;
+  // Documented borrow: the trace is caller-owned (run_flow passes its
+  // FlowOutcome::trace), outlives the connection and is never a chunk or
+  // an evicted flow. tapo-lint: allow(trace-retain)
+  net::PacketTrace* capture_;
 
   std::unique_ptr<TcpSender> sender_;
   std::unique_ptr<TcpReceiver> receiver_;

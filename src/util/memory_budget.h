@@ -1,7 +1,7 @@
 // Byte-level accounting for the streaming trace pipeline.
 //
 // A MemoryBudget is the ledger every resident byte of the pipeline is
-// charged against: sealed chunks in flight (TraceChunk charges on
+// charged against: chunks in flight (TraceChunk charges on
 // construction and releases on destruction), per-flow buffered state in
 // the live analyzer, and anything else a stage wants bounded. It is pure
 // bookkeeping — enforcement (evicting the oldest flow when the ledger

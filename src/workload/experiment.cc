@@ -115,8 +115,7 @@ FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
   sim::Link down(sim, scenario.down_link, link_rng.split());
   sim::Link up(sim, scenario.up_link, link_rng.split());
   tcp::Connection conn(sim, down, up, scenario.connection,
-                       out.trace ? net::TraceBuilder(*out.trace)
-                                 : net::TraceBuilder());
+                       out.trace ? &*out.trace : nullptr);
 
   // Attribute any invariant violations during this simulation to this flow.
   tcp::InvariantMonitor::FlowScope invariant_scope(guards.flow_id);

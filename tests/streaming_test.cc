@@ -1,17 +1,21 @@
-// Streaming-pipeline tests: chunked ingest and the live analysis engine
-// must be bit-identical to the batch path for every chunk granularity and
-// workload profile (with and without capture impairments), budgets must
-// bound residency deterministically, and pcap parse errors must locate the
-// bad record by index and absolute file offset.
+// Streaming-pipeline tests: the chunked pcap reader and the live analysis
+// engine must be bit-identical to the batch path for every chunk
+// granularity and workload profile (with and without capture impairments),
+// the reader's per-frame rollback must never cross a chunk boundary,
+// budgets must bound residency deterministically, and pcap parse errors
+// must locate the bad record by index and absolute file offset.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "net/chunk.h"
+#include "net/endian.h"
+#include "net/ipv4.h"
 #include "pcap/pcap.h"
 #include "sim/capture_channel.h"
 #include "tapo/analyzer.h"
@@ -126,14 +130,6 @@ std::vector<ChunkCase> chunk_cases(std::size_t whole_trace_packets) {
           {"whole", std::max<std::size_t>(1, whole_trace_packets)}};
 }
 
-/// Rebuilds `trace` as a retained ChunkedTrace of the given granularity.
-net::ChunkedTrace rechunk(const net::PacketTrace& trace,
-                          std::size_t chunk_packets) {
-  net::ChunkedTrace chunks(chunk_packets);
-  for (const auto& pkt : trace.packets()) chunks.add(pkt);
-  return chunks;
-}
-
 /// Streams `trace` through a pcap file and an unbounded LiveAnalyzer in
 /// `chunk_packets`-sized chunks — the full production streaming pipeline —
 /// and returns the flows restored to first-packet order (what the batch
@@ -181,23 +177,10 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
 // bit-identical to batch output for every profile and every chunk size.
 // ---------------------------------------------------------------------------
 
-TEST(StreamingEquivalence, ChunkedAnalysisBitIdenticalToBatch) {
-  const Analyzer analyzer;
-  for (const auto& [pname, profile] : all_profiles()) {
-    SCOPED_TRACE(pname);
-    const net::PacketTrace trace = merged_trace(profile, /*seed=*/1234, 5);
-    ASSERT_GT(trace.size(), 0u);
-    const AnalysisResult batch = analyzer.analyze(trace);
-    for (const auto& [cname, packets] : chunk_cases(trace.size())) {
-      SCOPED_TRACE(cname);
-      const net::ChunkedTrace chunks = rechunk(trace, packets);
-      ASSERT_EQ(chunks.size(), trace.size());
-      expect_same_result(analyzer.analyze(chunks), batch);
-    }
-  }
-}
-
 TEST(StreamingEquivalence, HoldsUnderCaptureImpairments) {
+  // A degraded capture (drops, snaplen cuts, duplicates, reordering,
+  // jitter, mid-stream start) through the whole streaming stack against
+  // batch analysis of the same pcap bytes.
   const Analyzer analyzer;
   const auto imp = sim::CaptureImpairments{}
                        .with_drop(0.02)
@@ -213,10 +196,13 @@ TEST(StreamingEquivalence, HoldsUnderCaptureImpairments) {
     const net::PacketTrace pristine = merged_trace(profile, /*seed=*/88, 4);
     ASSERT_GT(pristine.size(), 0u);
     const net::PacketTrace degraded = sim::apply_impairments(pristine, imp);
-    const AnalysisResult batch = analyzer.analyze(degraded);
+    std::stringstream bytes;
+    pcap::write_stream(bytes, degraded);
+    const AnalysisResult batch = analyzer.analyze(pcap::read_stream(bytes));
     for (const auto& [cname, packets] : chunk_cases(degraded.size())) {
       SCOPED_TRACE(cname);
-      expect_same_result(analyzer.analyze(rechunk(degraded, packets)), batch);
+      expect_same_result(
+          analyze_via_streaming_pipeline(degraded, packets, nullptr), batch);
     }
   }
 }
@@ -247,6 +233,27 @@ TEST(StreamingEquivalence, FullPipelineMatchesBatchForEveryChunkSize) {
 // truncation semantics included.
 // ---------------------------------------------------------------------------
 
+void expect_same_packets(const net::PacketTrace& a, const net::PacketTrace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_EQ(a[i].timestamp.us(), b[i].timestamp.us());
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].tcp.seq, b[i].tcp.seq);
+    EXPECT_EQ(a[i].tcp.ack, b[i].tcp.ack);
+    EXPECT_EQ(a[i].tcp.flags, b[i].tcp.flags);
+    EXPECT_EQ(a[i].tcp.window, b[i].tcp.window);
+    EXPECT_EQ(a[i].payload_len, b[i].payload_len);
+    EXPECT_EQ(a[i].truncated, b[i].truncated);
+  }
+}
+
+void expect_same_stats(const pcap::ReadStats& a, const pcap::ReadStats& b) {
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.tcp_packets, b.tcp_packets);
+  EXPECT_EQ(a.skipped, b.skipped);
+}
+
 TEST(StreamingReader, ChunksConcatenateToReadStream) {
   const net::PacketTrace trace =
       merged_trace(workload::web_search_profile(), /*seed=*/15, 3);
@@ -268,18 +275,8 @@ TEST(StreamingReader, ChunksConcatenateToReadStream) {
     while (auto chunk = reader.next_chunk()) {
       for (const auto& pkt : chunk->packets()) concat.add(pkt);
     }
-    ASSERT_EQ(concat.size(), batch.size());
-    for (std::size_t i = 0; i < concat.size(); ++i) {
-      EXPECT_EQ(concat[i].timestamp.us(), batch[i].timestamp.us());
-      EXPECT_EQ(concat[i].key, batch[i].key);
-      EXPECT_EQ(concat[i].tcp.seq, batch[i].tcp.seq);
-      EXPECT_EQ(concat[i].tcp.ack, batch[i].tcp.ack);
-      EXPECT_EQ(concat[i].payload_len, batch[i].payload_len);
-      EXPECT_EQ(concat[i].truncated, batch[i].truncated);
-    }
-    EXPECT_EQ(reader.stats().records, batch_stats.records);
-    EXPECT_EQ(reader.stats().tcp_packets, batch_stats.tcp_packets);
-    EXPECT_EQ(reader.stats().skipped, batch_stats.skipped);
+    expect_same_packets(concat, batch);
+    expect_same_stats(reader.stats(), batch_stats);
   }
 }
 
@@ -302,6 +299,172 @@ TEST(StreamingReader, KeepsCompleteRecordsOnTruncatedTail) {
   while (auto chunk = reader.next_chunk()) total += chunk->size();
   EXPECT_EQ(total, trace.size() - 1);
   EXPECT_EQ(reader.stats().tcp_packets, trace.size() - 1);
+}
+
+// ---------------------------------------------------------------------------
+// StreamingReader rollback at chunk boundaries: real Ethernet captures mix
+// TCP frames with frames the parser rejects. Some rejects (UDP, IPv6) are
+// dropped before a slot is claimed; a TCP frame whose header the capture
+// cut short claims a slot and rolls it back. Rejects sit right at the
+// chunk boundaries of every chunk size read below, and the capture ends on
+// rejects after a full chunk.
+// ---------------------------------------------------------------------------
+
+enum class Frame { kTcp, kIpv6, kUdp, kTcpCut };
+
+/// Runs of TCP frames separated by reject groups: TCP counts at the rejects
+/// are 0, 1, 3, 6, 12, 18, 19 and 24 — multiples of 1, 2 and 3 among them.
+std::vector<Frame> mixed_frames() {
+  const Frame rejects[] = {Frame::kIpv6, Frame::kUdp, Frame::kTcpCut};
+  const struct {
+    int tcp;
+    int rejected;
+  } runs[] = {{0, 1}, {1, 1}, {2, 2}, {3, 1}, {6, 1}, {6, 3}, {1, 1}, {5, 2}};
+  std::vector<Frame> frames;
+  std::size_t r = 0;
+  for (const auto& run : runs) {
+    for (int i = 0; i < run.tcp; ++i) frames.push_back(Frame::kTcp);
+    for (int i = 0; i < run.rejected; ++i) frames.push_back(rejects[r++ % 3]);
+  }
+  return frames;
+}
+
+/// Record `i` of the mixed capture as an Ethernet frame. Every frame is a
+/// full IPv4/TCP packet with a per-record payload length, then altered to
+/// the kind asked for. Returns the captured bytes; `wire_len` gets the
+/// frame's length on the wire.
+std::vector<std::uint8_t> ethernet_frame(Frame kind, std::uint32_t i,
+                                         std::size_t& wire_len) {
+  net::TcpHeader tcp;
+  tcp.src_port = 80;
+  tcp.dst_port = static_cast<std::uint16_t>(40000 + i % 3);
+  tcp.seq = net::Seq32{1000 + 100 * i};
+  tcp.ack = net::Seq32{7 + i};
+  tcp.flags.ack = true;
+  tcp.window = static_cast<std::uint16_t>(500 + i);
+  const std::size_t tcp_len = tcp.header_len() + 10 + i;
+  net::Ipv4Header ip;
+  ip.src = 0x0a000001;
+  ip.dst = 0x0a000100 + i % 3;
+  ip.total_length = static_cast<std::uint16_t>(net::kIpv4HeaderLen + tcp_len);
+  ip.protocol = kind == Frame::kUdp ? 17 : net::kProtoTcp;
+
+  constexpr std::size_t kEth = 14;
+  std::vector<std::uint8_t> f(kEth + net::kIpv4HeaderLen + tcp_len, 0);
+  net::put_u16(f, 12, kind == Frame::kIpv6 ? 0x86DD : 0x0800);
+  ip.serialize(std::span(f).subspan(kEth, net::kIpv4HeaderLen));
+  tcp.serialize(std::span(f).subspan(kEth + net::kIpv4HeaderLen));
+  wire_len = f.size();
+  // Cut 8 bytes into the TCP header: the IP header is intact, so the
+  // parser claims a slot before the TCP parse fails.
+  if (kind == Frame::kTcpCut) f.resize(kEth + net::kIpv4HeaderLen + 8);
+  return f;
+}
+
+void put_le32(std::string& out, std::uint32_t v) {
+  for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>(v >> (8 * b)));
+}
+
+void append_bytes(std::string& out, const std::vector<std::uint8_t>& bytes) {
+  out.append(bytes.begin(), bytes.end());
+}
+
+/// Classic pcap, LINKTYPE_ETHERNET, one record per frame.
+std::string classic_capture(const std::vector<Frame>& frames) {
+  std::string blob;
+  put_le32(blob, 0xa1b2c3d4);
+  put_le32(blob, 2 | (4u << 16));  // version 2.4
+  put_le32(blob, 0);               // thiszone
+  put_le32(blob, 0);               // sigfigs
+  put_le32(blob, 65535);           // snaplen
+  put_le32(blob, 1);               // LINKTYPE_ETHERNET
+  for (std::uint32_t i = 0; i < frames.size(); ++i) {
+    std::size_t wire_len = 0;
+    const auto f = ethernet_frame(frames[i], i, wire_len);
+    put_le32(blob, 1 + i);  // ts_sec
+    put_le32(blob, 0);      // ts_usec
+    put_le32(blob, static_cast<std::uint32_t>(f.size()));
+    put_le32(blob, static_cast<std::uint32_t>(wire_len));
+    append_bytes(blob, f);
+  }
+  return blob;
+}
+
+/// pcapng: SHB, one Ethernet IDB, one EPB per frame.
+std::string pcapng_capture(const std::vector<Frame>& frames) {
+  std::string blob;
+  put_le32(blob, 0x0A0D0D0A);  // SHB
+  put_le32(blob, 28);
+  put_le32(blob, 0x1A2B3C4D);  // byte-order magic
+  put_le32(blob, 1);           // version 1.0
+  put_le32(blob, 0xFFFFFFFF);  // section length unspecified
+  put_le32(blob, 0xFFFFFFFF);
+  put_le32(blob, 28);
+  put_le32(blob, 1);      // IDB
+  put_le32(blob, 20);
+  put_le32(blob, 1);      // LINKTYPE_ETHERNET, reserved 0
+  put_le32(blob, 65535);  // snaplen
+  put_le32(blob, 20);
+  for (std::uint32_t i = 0; i < frames.size(); ++i) {
+    std::size_t wire_len = 0;
+    auto f = ethernet_frame(frames[i], i, wire_len);
+    const auto caplen = static_cast<std::uint32_t>(f.size());
+    f.resize((f.size() + 3) & ~std::size_t{3}, 0);  // pad to 32 bits
+    const auto total = static_cast<std::uint32_t>(32 + f.size());
+    put_le32(blob, 6);  // EPB
+    put_le32(blob, total);
+    put_le32(blob, 0);                       // interface 0
+    put_le32(blob, 0);                       // ts high (microseconds)
+    put_le32(blob, (1 + i) * 1'000'000u);    // ts low
+    put_le32(blob, caplen);
+    put_le32(blob, static_cast<std::uint32_t>(wire_len));
+    append_bytes(blob, f);
+    put_le32(blob, total);
+  }
+  return blob;
+}
+
+void expect_rollback_stays_in_chunk(const std::string& blob) {
+  const std::vector<Frame> frames = mixed_frames();
+  std::stringstream batch_in(blob);
+  pcap::ReadStats batch_stats;
+  const net::PacketTrace batch = pcap::read_stream(batch_in, &batch_stats);
+  // Exactly the TCP frames survive, in order (payload length = 10 + index).
+  std::vector<std::uint32_t> want_payloads;
+  for (std::uint32_t i = 0; i < frames.size(); ++i) {
+    if (frames[i] == Frame::kTcp) want_payloads.push_back(10 + i);
+  }
+  std::vector<std::uint32_t> payloads;
+  for (const auto& pkt : batch.packets()) payloads.push_back(pkt.payload_len);
+  EXPECT_EQ(payloads, want_payloads);
+  EXPECT_EQ(batch_stats.records, frames.size());
+  EXPECT_EQ(batch_stats.skipped, frames.size() - want_payloads.size());
+
+  const std::size_t chunk_sizes[] = {0, 1, 2, 3};
+  for (const std::size_t chunk_packets : chunk_sizes) {
+    SCOPED_TRACE("chunk_packets=" + std::to_string(chunk_packets));
+    const std::size_t per_chunk = std::max<std::size_t>(1, chunk_packets);
+    std::stringstream in(blob);
+    pcap::StreamingReader reader(
+        in, pcap::StreamingOptions{.chunk_packets = chunk_packets});
+    net::PacketTrace concat;
+    while (auto chunk = reader.next_chunk()) {
+      EXPECT_EQ(chunk->size(), std::min(per_chunk, batch.size() - concat.size()));
+      EXPECT_EQ(chunk->capacity(), per_chunk);
+      for (const auto& pkt : chunk->packets()) concat.add(pkt);
+    }
+    EXPECT_FALSE(reader.next_chunk().has_value());
+    expect_same_packets(concat, batch);
+    expect_same_stats(reader.stats(), batch_stats);
+  }
+}
+
+TEST(StreamingReader, RejectedFramesAtChunkBoundariesClassic) {
+  expect_rollback_stays_in_chunk(classic_capture(mixed_frames()));
+}
+
+TEST(StreamingReader, RejectedFramesAtChunkBoundariesPcapng) {
+  expect_rollback_stays_in_chunk(pcapng_capture(mixed_frames()));
 }
 
 // ---------------------------------------------------------------------------
@@ -345,14 +508,16 @@ TEST(PcapErrors, ClassicCaplenErrorCarriesRecordIndexAndOffset) {
   }
 
   // The streaming reader throws the identical message from next_chunk.
-  // (Sealing is lazy, so the parse error can surface before the first
-  // chunk is handed out — any next_chunk call may throw.)
+  // Record 1 fills the first one-packet chunk, which is delivered before
+  // record 2 is read; the error surfaces on the next call.
   std::stringstream in2(blob);
   pcap::StreamingReader reader(in2,
                                pcap::StreamingOptions{.chunk_packets = 1});
+  const auto first = reader.next_chunk();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->size(), 1u);
   try {
-    while (reader.next_chunk()) {
-    }
+    reader.next_chunk();
     FAIL() << "StreamingReader must reject the absurd caplen";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), expected);
@@ -430,47 +595,6 @@ TEST(MemoryBudget, TraceChunkChargesAreRaii) {
   }
   EXPECT_EQ(budget.resident(), 0u);
   EXPECT_EQ(budget.high_water(), chunk_bytes);
-}
-
-// ---------------------------------------------------------------------------
-// ChunkedTrace: lazy sealing keeps rollback reachable across boundaries.
-// ---------------------------------------------------------------------------
-
-TEST(ChunkedTrace, LazySealingKeepsRollbackReachable) {
-  std::vector<std::vector<std::uint32_t>> sealed;
-  net::ChunkedTrace ct(2, [&sealed](net::TraceChunk&& c) {
-    std::vector<std::uint32_t> payloads;
-    for (const auto& p : c.packets()) payloads.push_back(p.payload_len);
-    sealed.push_back(std::move(payloads));
-  });
-  net::TraceBuilder builder(ct);
-  builder.begin_packet().payload_len = 1;
-  builder.begin_packet().payload_len = 2;
-  // The chunk is full but NOT yet emitted — rollback can still reach it.
-  EXPECT_TRUE(sealed.empty());
-  builder.rollback_last();
-  builder.begin_packet().payload_len = 3;  // refills the slot in place
-  builder.begin_packet().payload_len = 4;  // NOW the first chunk seals
-  ASSERT_EQ(sealed.size(), 1u);
-  EXPECT_EQ(sealed[0], (std::vector<std::uint32_t>{1, 3}));
-  ct.seal_open();
-  ASSERT_EQ(sealed.size(), 2u);
-  EXPECT_EQ(sealed[1], (std::vector<std::uint32_t>{4}));
-  EXPECT_EQ(ct.size(), 3u);
-}
-
-TEST(ChunkedTrace, RetainedModeRoundTripsThroughToTrace) {
-  const net::PacketTrace trace =
-      merged_trace(workload::cloud_storage_profile(), /*seed=*/2, 2);
-  ASSERT_GT(trace.size(), 0u);
-  const net::ChunkedTrace chunks = rechunk(trace, 7);
-  const net::PacketTrace back = chunks.to_trace();
-  ASSERT_EQ(back.size(), trace.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].timestamp.us(), trace[i].timestamp.us());
-    EXPECT_EQ(back[i].key, trace[i].key);
-    EXPECT_EQ(back[i].tcp.seq, trace[i].tcp.seq);
-  }
 }
 
 // ---------------------------------------------------------------------------

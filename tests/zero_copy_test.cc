@@ -170,16 +170,15 @@ TEST(ZeroCopy, PacketRecordsStayCompact) {
   EXPECT_TRUE(std::is_trivially_copyable_v<net::TcpHeader>);
 }
 
-TEST(ZeroCopy, TraceBuilderRollbackDiscardsSlot) {
+TEST(ZeroCopy, PacketTraceRollbackDiscardsSlot) {
   net::PacketTrace trace;
-  net::TraceBuilder builder(trace);
-  net::CapturedPacket& a = builder.begin_packet();
+  net::CapturedPacket& a = trace.append();
   a.payload_len = 111;
-  builder.begin_packet().payload_len = 222;
-  builder.rollback_last();
+  trace.append().payload_len = 222;
+  trace.pop_back();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].payload_len, 111u);
-  builder.begin_packet().payload_len = 333;
+  trace.append().payload_len = 333;
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[1].payload_len, 333u);
 }

@@ -60,12 +60,12 @@
 //   trace-retain       A PacketTrace pointer/reference stored in a member
 //                      variable (trailing-underscore identifier) outside
 //                      src/net/. In the streaming pipeline the arena behind
-//                      such a pointer can be a sealed chunk or an evicted
-//                      flow that is gone by the time the member is used;
-//                      long-lived capture state must go through
-//                      net::TraceBuilder (which survives arena hand-offs)
-//                      or copy into an owned trace. Documented borrow-views
-//                      whose lifetime contract is explicit suppress with
+//                      such a pointer can be a delivered chunk or an
+//                      evicted flow that is gone by the time the member is
+//                      used; long-lived capture state must copy into an
+//                      owned trace. Documented borrow-views whose lifetime
+//                      contract is explicit (a caller-owned capture trace
+//                      that outlives the member) suppress with
 //                      tapo-lint: allow(trace-retain).
 //   mutex-annotation   A class in src/ (outside src/util/, the annotated
 //                      wrapper's home) declares a mutex-typed member that
@@ -816,12 +816,13 @@ void rule_raw_struct_io(const FileText& f, std::vector<Finding>& out) {
 }
 
 void rule_trace_retain(const FileText& f, std::vector<Finding>& out) {
-  // src/net/ is the trace/chunk layer itself: TraceBuilder's attachment
-  // pointer and ChunkedTrace's internals are the sanctioned retention
-  // points whose lifetimes the layer manages. Anywhere else, a member
+  // src/net/ is the trace/chunk layer itself: PacketTrace's arena and the
+  // TraceChunk that wraps one are the sanctioned retention points whose
+  // lifetimes the layer manages. Anywhere else, a member
   // (trailing-underscore identifier) holding `PacketTrace*` or
-  // `PacketTrace&` can dangle once streaming seals/evicts the arena it
-  // points into. src/ only: tests and benches pin traces on the stack.
+  // `PacketTrace&` can dangle once streaming drops the chunk or evicts the
+  // flow arena it points into. src/ only: tests and benches pin traces on
+  // the stack.
   if (!path_contains(f.path, "src/") || path_contains(f.path, "src/net/")) {
     return;
   }
@@ -846,8 +847,8 @@ void rule_trace_retain(const FileText& f, std::vector<Finding>& out) {
           {f.path, n + 1, "trace-retain",
            "member `" + id +
                "` retains a PacketTrace pointer/reference that can outlive "
-               "the chunk or flow arena backing it; hold a net::TraceBuilder "
-               "or copy into an owned trace, or document the borrow with "
+               "the chunk or flow arena backing it; copy into an owned "
+               "trace, or document the borrow with "
                "tapo-lint: allow(trace-retain)"});
       break;  // one finding per line is enough
     }
