@@ -62,11 +62,14 @@ int main(int argc, char** argv) {
     });
   });
   sim.schedule(Duration::seconds(4.0), [&] {
-    down.set_burst(0.0, Duration::millis(1), 1.0);
-    down.force_outage(Duration::millis(400));  // kills a whole window
+    // A total outage that kills a whole window...
+    down.open_episode(
+        {.effect = sim::Effect::kDrop, .length = Duration::millis(400)});
   });
   sim.schedule(Duration::seconds(6.0), [&] {
-    down.force_outage(Duration::millis(900));  // and again, deeper
+    // ...and again, deeper.
+    down.open_episode(
+        {.effect = sim::Effect::kDrop, .length = Duration::millis(900)});
   });
 
   conn.start();

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "pcap/pcap.h"
 #include "tapo/csv.h"
@@ -144,7 +145,9 @@ int main(int argc, char** argv) {
                                 .with_mem_budget(&budget);
       analysis::LiveAnalyzer live(
           live_cfg,
-          [&](const analysis::FlowAnalysis& fa) { result.flows.push_back(fa); });
+          [&](analysis::FlowAnalysis&& fa) {
+            result.flows.push_back(std::move(fa));
+          });
       while (auto chunk = reader.next_chunk()) live.add_chunk(*chunk);
       rstats = reader.stats();
       std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
@@ -155,7 +158,7 @@ int main(int argc, char** argv) {
                   "%zu flows, peak resident %zu bytes%s)\n\n",
                   result.flows.size(),
                   static_cast<unsigned long long>(live.stats().packets),
-                  live.stats().active_flows, budget.high_water(),
+                  live.stats().peak_active_flows, budget.high_water(),
                   mem_budget != 0 ? ", budgeted" : "");
     } else {
       const net::PacketTrace trace = pcap::read_file(path, &rstats);

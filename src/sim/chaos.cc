@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "telemetry/telemetry.h"
-
 namespace tapo::sim {
 
 namespace {
@@ -121,17 +119,6 @@ void ChaosConfig::validate() const {
   }
 }
 
-void ChaosStats::merge(const ChaosStats& o) {
-  episodes += o.episodes;
-  reordered += o.reordered;
-  acks_dropped += o.acks_dropped;
-  acks_compressed += o.acks_compressed;
-  rwnd_rewrites += o.rwnd_rewrites;
-  delayed += o.delayed;
-  blackholed += o.blackholed;
-  retrans_dropped += o.retrans_dropped;
-}
-
 const std::vector<ChaosScenario>& ChaosScenario::catalog() {
   static const std::vector<ChaosScenario> kCatalog = [] {
     std::vector<ChaosScenario> v;
@@ -174,170 +161,65 @@ const ChaosScenario* ChaosScenario::by_name(std::string_view name) {
   return nullptr;
 }
 
-ChaosInjector::ChaosInjector(Simulator& sim, Link& data_link, Link& ack_link,
-                             ChaosConfig config)
+ChaosClock::ChaosClock(Simulator& sim, Link& data_link, Link& ack_link,
+                       ChaosConfig config)
     : sim_(sim),
       data_link_(data_link),
       ack_link_(ack_link),
       config_(std::move(config)),
       rng_(config_.seed) {
   config_.validate();
+  const ChaosConfig& c = config_;
+  const Duration none = Duration::zero();
+  kinds_ = {
+      {c.reorder_storm_rate,
+       {Effect::kReorder, c.reorder_storm_duration, c.reorder_prob,
+        c.reorder_hold, "reorder"},
+       /*on_data=*/true, /*on_ack=*/false},
+      {c.ack_loss_rate,
+       {Effect::kDropPureAcks, c.ack_loss_duration, c.ack_loss_prob, none,
+        "ack_loss"},
+       false, true},
+      {c.ack_compress_rate,
+       {Effect::kHoldAcks, c.ack_compress_duration, 1.0, none,
+        "ack_compress"},
+       false, true},
+      {c.rwnd_flap_rate,
+       {Effect::kZeroWindow, c.rwnd_flap_duration, 1.0, none, "rwnd_flap"},
+       false, true},
+      {c.rtt_spike_rate,
+       {Effect::kDelay, c.rtt_spike_duration, 1.0, c.rtt_spike_extra,
+        "rtt_spike"},
+       true, true},
+      {c.blackhole_rate,
+       {Effect::kDrop, c.blackhole_duration, 1.0, none, "blackhole"},
+       true, true},
+  };
 }
 
-void ChaosInjector::count_injected(const char* kind) {
-  if (!telemetry::metrics_enabled()) return;
-  auto& c = telemetry::Registry::instance().counter(
-      "tapo_chaos_injected_total", {{"kind", kind}});
-  c.add(1);
-}
-
-double ChaosInjector::rate_for(Episode e) const {
-  switch (e) {
-    case kReorder: return config_.reorder_storm_rate;
-    case kAckLoss: return config_.ack_loss_rate;
-    case kAckCompress: return config_.ack_compress_rate;
-    case kRwndFlap: return config_.rwnd_flap_rate;
-    case kRttSpike: return config_.rtt_spike_rate;
-    case kBlackhole: return config_.blackhole_rate;
-    case kEpisodeKinds: break;
-  }
-  return 0.0;
-}
-
-Duration ChaosInjector::duration_for(Episode e) const {
-  switch (e) {
-    case kReorder: return config_.reorder_storm_duration;
-    case kAckLoss: return config_.ack_loss_duration;
-    case kAckCompress: return config_.ack_compress_duration;
-    case kRwndFlap: return config_.rwnd_flap_duration;
-    case kRttSpike: return config_.rtt_spike_duration;
-    case kBlackhole: return config_.blackhole_duration;
-    case kEpisodeKinds: break;
-  }
-  return Duration::zero();
-}
-
-void ChaosInjector::attach(std::function<bool()> active) {
+void ChaosClock::start(std::function<bool()> active) {
   active_ = std::move(active);
-  inner_data_ = data_link_.swap_deliver(
-      [this](const net::CapturedPacket& pkt) { on_data_packet(pkt); });
-  inner_ack_ = ack_link_.swap_deliver(
-      [this](const net::CapturedPacket& pkt) { on_ack_packet(pkt); });
-  for (int e = 0; e < kEpisodeKinds; ++e) {
-    if (rate_for(static_cast<Episode>(e)) > 0.0) {
-      schedule_next(static_cast<Episode>(e));
-    }
+  if (config_.retrans_drop_prob > 0.0) {
+    data_link_.open_episode({.effect = Effect::kDropRetrans,
+                             .length = Duration::max(),
+                             .prob = config_.retrans_drop_prob,
+                             .kind = "retrans_drop"});
+  }
+  for (std::size_t k = 0; k < kinds_.size(); ++k) {
+    if (kinds_[k].rate > 0.0) schedule_onset(k, Duration::zero());
   }
 }
 
-void ChaosInjector::schedule_next(Episode e) {
+void ChaosClock::schedule_onset(std::size_t k, Duration after) {
   const Duration gap =
-      Duration::seconds(rng_.exponential(1.0 / rate_for(e)));
-  sim_.schedule(gap, [this, e] {
+      Duration::seconds(rng_.exponential(1.0 / kinds_[k].rate));
+  sim_.schedule(after + gap, [this, k] {
     if (active_ && !active_()) return;  // flow done: let the chain die out
-    begin(e);
+    const Kind& kind = kinds_[k];
+    if (kind.on_data) data_link_.open_episode(kind.episode);
+    if (kind.on_ack) ack_link_.open_episode(kind.episode);
+    schedule_onset(k, kind.episode.length);
   });
-}
-
-void ChaosInjector::begin(Episode e) {
-  episode_on_[e] = true;
-  ++stats_.episodes;
-  sim_.schedule(duration_for(e), [this, e] { end(e); });
-}
-
-void ChaosInjector::end(Episode e) {
-  episode_on_[e] = false;
-  if (e == kAckCompress && !held_acks_.empty()) {
-    // Release the compressed burst in arrival (FIFO) order. This happens
-    // even when the flow finished mid-episode — held packets are never
-    // silently swallowed.
-    std::vector<net::CapturedPacket> burst;
-    burst.swap(held_acks_);
-    for (auto& pkt : burst) {
-      pkt.timestamp = sim_.now();
-      if (inner_ack_) inner_ack_(pkt);
-    }
-  }
-  if (!active_ || active_()) schedule_next(e);
-}
-
-void ChaosInjector::deliver_later(bool data_path, net::CapturedPacket pkt,
-                                  Duration extra) {
-  sim_.schedule(extra, [this, data_path, pkt]() mutable {
-    pkt.timestamp = sim_.now();
-    const Link::DeliverFn& inner = data_path ? inner_data_ : inner_ack_;
-    if (inner) inner(pkt);
-  });
-}
-
-void ChaosInjector::on_data_packet(const net::CapturedPacket& pkt) {
-  if (episode_on_[kBlackhole]) {
-    ++stats_.blackholed;
-    count_injected("blackhole");
-    return;
-  }
-  if (config_.retrans_drop_prob > 0.0 && pkt.payload_len > 0) {
-    const net::Seq32 end = pkt.end_seq();
-    const bool retrans = seen_data_ && net::before(pkt.tcp.seq, high_end_);
-    if (!seen_data_ || net::after(end, high_end_)) {
-      high_end_ = end;
-      seen_data_ = true;
-    }
-    if (retrans && rng_.chance(config_.retrans_drop_prob)) {
-      ++stats_.retrans_dropped;
-      count_injected("retrans_drop");
-      return;
-    }
-  }
-  if (episode_on_[kRttSpike]) {
-    ++stats_.delayed;
-    count_injected("rtt_spike");
-    deliver_later(/*data_path=*/true, pkt, config_.rtt_spike_extra);
-    return;
-  }
-  if (episode_on_[kReorder] && pkt.payload_len > 0 &&
-      rng_.chance(config_.reorder_prob)) {
-    ++stats_.reordered;
-    count_injected("reorder");
-    deliver_later(/*data_path=*/true, pkt, config_.reorder_hold);
-    return;
-  }
-  if (inner_data_) inner_data_(pkt);
-}
-
-void ChaosInjector::on_ack_packet(const net::CapturedPacket& pkt) {
-  if (episode_on_[kBlackhole]) {
-    ++stats_.blackholed;
-    count_injected("blackhole");
-    return;
-  }
-  const bool pure_ack =
-      pkt.tcp.flags.ack && !pkt.tcp.flags.syn && pkt.payload_len == 0;
-  if (episode_on_[kAckLoss] && pure_ack &&
-      rng_.chance(config_.ack_loss_prob)) {
-    ++stats_.acks_dropped;
-    count_injected("ack_loss");
-    return;
-  }
-  net::CapturedPacket out = pkt;
-  if (episode_on_[kRwndFlap] && pkt.tcp.flags.ack && !pkt.tcp.flags.syn) {
-    out.tcp.window = 0;
-    ++stats_.rwnd_rewrites;
-    count_injected("rwnd_flap");
-  }
-  if (episode_on_[kAckCompress] && pure_ack) {
-    ++stats_.acks_compressed;
-    count_injected("ack_compress");
-    held_acks_.push_back(out);
-    return;
-  }
-  if (episode_on_[kRttSpike]) {
-    ++stats_.delayed;
-    count_injected("rtt_spike");
-    deliver_later(/*data_path=*/false, out, config_.rtt_spike_extra);
-    return;
-  }
-  if (inner_ack_) inner_ack_(out);
 }
 
 }  // namespace tapo::sim

@@ -11,14 +11,16 @@
 //   - blackholes          transient bidirectional outages
 //   - retrans-targeted    drops aimed specifically at retransmissions
 //
-// The injector wraps both links' delivery handlers *after* the connection
-// has registered its own (Link::swap_deliver), so the TCP endpoints are
-// untouched and unaware. Determinism contract, mirroring CaptureImpairments:
-// every decision comes from one Rng seeded from `seed` and advanced only by
-// packets and episode timers inside the flow's own simulator, so a per-flow
-// derived seed (scenario_seed ^ flow_seed) makes parallel runs bit-identical
-// to serial. Default-off config = bit-identical passthrough (the injector
-// is not even constructed).
+// Chaos is only an episode clock: Poisson onsets per enabled kind open
+// sim::Link episodes (link.h) on the data link, the ACK link, or both. The
+// links apply the effects at send time, exactly as they apply their own
+// outages and delay bursts, so the TCP endpoints are untouched and unaware.
+// Determinism contract, mirroring CaptureImpairments: onsets come from one
+// Rng seeded from `seed` and advanced only by timers inside the flow's own
+// simulator, and per-packet draws come from the links' own seeded streams,
+// so a per-flow derived seed (scenario_seed ^ flow_seed) makes parallel
+// runs bit-identical to serial. Default-off config = bit-identical
+// passthrough (the clock is not even constructed).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "net/trace.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -38,9 +39,9 @@ struct ChaosConfig {
   std::uint64_t seed = 1;
 
   /// Reorder storms (data direction): episodes arrive ~Poisson(rate) per
-  /// second; during one, each data packet is independently held an extra
-  /// `reorder_hold` with probability `reorder_prob`, bypassing FIFO so
-  /// later packets overtake it.
+  /// second; during one, each packet sent on the data link is independently
+  /// held an extra `reorder_hold` with probability `reorder_prob`,
+  /// bypassing FIFO so later packets overtake it.
   double reorder_storm_rate = 0.0;  // episodes per second; 0 = off
   Duration reorder_storm_duration = Duration::millis(400);
   double reorder_prob = 0.5;
@@ -71,16 +72,18 @@ struct ChaosConfig {
   Duration rtt_spike_duration = Duration::millis(300);
   Duration rtt_spike_extra = Duration::millis(250);
 
-  /// Transient blackholes: both directions drop everything for the episode.
+  /// Transient blackholes: both directions drop everything sent during the
+  /// episode.
   double blackhole_rate = 0.0;
   Duration blackhole_duration = Duration::millis(350);
 
-  /// Retransmission-targeted drops (always-on, not episodic): a data packet
-  /// whose range was already seen drops with this probability. Capped below
+  /// Retransmission-targeted drops (always on: one window open for the whole
+  /// flow): a data packet whose range was already sent drops with this
+  /// probability. Capped below
   /// 1 by validate() so a retransmission eventually survives.
   double retrans_drop_prob = 0.0;
 
-  /// True when any impairment is configured; false = the injector is never
+  /// True when any impairment is configured; false = the clock is never
   /// constructed and the flow is bit-identical to a chaos-free run.
   bool enabled() const {
     // tapo-lint: allow(seq-compare) — episode rates, not sequence numbers
@@ -108,24 +111,6 @@ struct ChaosConfig {
   void validate() const;
 };
 
-/// Injection counters, one per impairment mechanism.
-struct ChaosStats {
-  std::uint64_t episodes = 0;         // episode onsets, all kinds
-  std::uint64_t reordered = 0;        // data packets held out of order
-  std::uint64_t acks_dropped = 0;
-  std::uint64_t acks_compressed = 0;  // ACKs held for burst release
-  std::uint64_t rwnd_rewrites = 0;    // windows rewritten to zero
-  std::uint64_t delayed = 0;          // packets held by an RTT spike
-  std::uint64_t blackholed = 0;       // packets dropped by a blackhole
-  std::uint64_t retrans_dropped = 0;  // targeted retransmission drops
-
-  std::uint64_t total_injected() const {
-    return reordered + acks_dropped + acks_compressed + rwnd_rewrites +
-           delayed + blackholed + retrans_dropped;
-  }
-  void merge(const ChaosStats& o);
-};
-
 /// A named chaos configuration. The catalog gives the storm harness and the
 /// failure-replay flags (--scenario=<name>) a stable, human-readable set of
 /// hostile regimes; per-run variation comes from reseeding via with_seed().
@@ -139,43 +124,30 @@ struct ChaosScenario {
   static const ChaosScenario* by_name(std::string_view name);
 };
 
-/// Wraps a flow's two links with the configured impairments. Construct
-/// after the connection has registered its delivery handlers, then call
-/// attach(). The injector must outlive the simulation run.
-class ChaosInjector {
+/// Opens the configured episodes on a flow's two links. Must outlive the
+/// simulation run.
+class ChaosClock {
  public:
   /// `data_link` carries server->client data, `ack_link` client->server.
-  ChaosInjector(Simulator& sim, Link& data_link, Link& ack_link,
-                ChaosConfig config);
+  ChaosClock(Simulator& sim, Link& data_link, Link& ack_link,
+             ChaosConfig config);
 
-  /// Installs the wrappers and schedules the first episode of each enabled
-  /// kind. `active` gates episode rescheduling: once it returns false (the
-  /// flow is done), episode chains stop so they cannot keep the event queue
-  /// alive forever.
-  void attach(std::function<bool()> active);
-
-  const ChaosStats& stats() const { return stats_; }
+  /// Opens the always-on retransmission-drop window and schedules the
+  /// first onset of each enabled episode kind. `active` gates the onsets:
+  /// once it returns false (the flow is done), no further episode opens,
+  /// so the clock cannot keep the event queue alive forever.
+  void start(std::function<bool()> active);
 
  private:
-  enum Episode {
-    kReorder,
-    kAckLoss,
-    kAckCompress,
-    kRwndFlap,
-    kRttSpike,
-    kBlackhole,
-    kEpisodeKinds,
+  /// One episode kind: its onset rate and the episode it opens.
+  struct Kind {
+    double rate;
+    Episode episode;
+    bool on_data;
+    bool on_ack;
   };
 
-  double rate_for(Episode e) const;
-  Duration duration_for(Episode e) const;
-  void schedule_next(Episode e);
-  void begin(Episode e);
-  void end(Episode e);
-  void on_data_packet(const net::CapturedPacket& pkt);
-  void on_ack_packet(const net::CapturedPacket& pkt);
-  void deliver_later(bool data_path, net::CapturedPacket pkt, Duration extra);
-  void count_injected(const char* kind);
+  void schedule_onset(std::size_t k, Duration after);
 
   Simulator& sim_;
   Link& data_link_;
@@ -183,13 +155,7 @@ class ChaosInjector {
   ChaosConfig config_;
   Rng rng_;
   std::function<bool()> active_;
-  Link::DeliverFn inner_data_;
-  Link::DeliverFn inner_ack_;
-  bool episode_on_[kEpisodeKinds] = {};
-  std::vector<net::CapturedPacket> held_acks_;
-  net::Seq32 high_end_;     // highest data end-seq seen (retrans detection)
-  bool seen_data_ = false;
-  ChaosStats stats_;
+  std::vector<Kind> kinds_;
 };
 
 }  // namespace tapo::sim

@@ -992,7 +992,7 @@ AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
 
   AnalysisResult result;
   LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
-      [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
+      [&result](FlowAnalysis&& fa) { result.flows.push_back(std::move(fa)); }));
   std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
   for (const net::CapturedPacket& pkt : trace.packets()) {
     first_seen.try_emplace(pkt.key.canonical(), first_seen.size());

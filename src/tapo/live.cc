@@ -1,5 +1,6 @@
 #include "tapo/live.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -121,7 +122,7 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   TAPO_TRACE(telemetry::EventKind::kFlowFinalize,
              entry.last_activity.us(), entry.trace.size(), flows_.size());
   count_flow_event("finalize");
-  stats_.active_flows = flows_.size();
+  set_active_flows(flows_.size());
   if (!entry.trace.empty()) {
     // The one analysis engine: this table already demuxed the connection,
     // so orient its arena and run the per-flow kernel in place.
@@ -129,8 +130,9 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
     // would recurse.
     FlowAnalysis fa = analyzer_.analyze_flow(
         make_flow_view(entry.trace.packets(), config_.demux));
-    if (on_flow_done_) on_flow_done_(fa);
-    if (sink_ != nullptr) {
+    if (on_flow_done_) {
+      on_flow_done_(std::move(fa));
+    } else if (sink_ != nullptr) {
       FlowResult fr;
       fr.index = sink_ordinal_++;
       fr.packets = entry.trace.size();
@@ -191,6 +193,11 @@ void LiveAnalyzer::evict_for(std::size_t incoming, const net::FlowKey* keep) {
     finalize(lru_.front());
     if (budget->resident() >= before) break;  // other stages hold the rest
   }
+}
+
+void LiveAnalyzer::set_active_flows(std::size_t n) {
+  stats_.active_flows = n;
+  stats_.peak_active_flows = std::max(stats_.peak_active_flows, n);
 }
 
 void LiveAnalyzer::update_resident_gauge() {
@@ -286,7 +293,7 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
     finalize(lru_.front());
   }
   evict_over_budget();
-  stats_.active_flows = flows_.size();
+  set_active_flows(flows_.size());
   update_resident_gauge();
 }
 
@@ -296,7 +303,7 @@ void LiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
 
 void LiveAnalyzer::flush() {
   while (!lru_.empty()) finalize(lru_.front());
-  stats_.active_flows = 0;
+  set_active_flows(0);
   if (sink_ != nullptr) {
     RunStats rs;
     rs.flows = sink_ordinal_;

@@ -79,6 +79,8 @@ struct LiveStats {
   std::uint64_t truncated_flows = 0;  // per-flow packet cap hit
   std::uint64_t budget_evictions = 0; // mem-budget soft-limit evictions
   std::size_t active_flows = 0;
+  /// Largest active_flows ever reached; survives flush().
+  std::size_t peak_active_flows = 0;
   /// Bytes currently charged by this analyzer's flow table (subset of the
   /// shared budget's resident() when other stages charge the same ledger).
   std::size_t flow_bytes = 0;
@@ -86,8 +88,9 @@ struct LiveStats {
 
 class LiveAnalyzer {
  public:
-  /// Called with the completed analysis whenever a flow is finalized.
-  using FlowDoneFn = std::function<void(const FlowAnalysis&)>;
+  /// Called with the completed analysis whenever a flow is finalized; the
+  /// analysis is handed over, so a callback may move it out.
+  using FlowDoneFn = std::function<void(FlowAnalysis&&)>;
 
   explicit LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done);
 
@@ -146,6 +149,7 @@ class LiveAnalyzer {
   /// (the flow about to receive the incoming bytes).
   void evict_for(std::size_t incoming, const net::FlowKey* keep);
   void evict_over_budget() { evict_for(0, nullptr); }
+  void set_active_flows(std::size_t n);
   void update_resident_gauge();
 
   LiveConfig config_;

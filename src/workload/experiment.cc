@@ -133,13 +133,12 @@ FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
     });
   }
 
-  // Chaos wraps outermost (link -> chaos -> tracker -> connection): the
-  // tracker verifies what survives the hostile network, and the endpoints
-  // stay unaware of both observers.
-  std::optional<sim::ChaosInjector> chaos;
+  // Chaos opens episodes on the links themselves, so the tracker verifies
+  // what survives the hostile network and the endpoints stay unaware.
+  std::optional<sim::ChaosClock> chaos;
   if (guards.chaos.enabled()) {
     chaos.emplace(sim, down, up, guards.chaos);
-    chaos->attach([&conn] { return !conn.done(); });
+    chaos->start([&conn] { return !conn.done(); });
   }
 
   conn.start();
@@ -172,7 +171,7 @@ FlowOutcome run_flow(const FlowScenario& scenario, Rng link_rng,
     out.status = FlowStatus::kTimeCapped;
   }
   if (tracker) out.delivery = tracker->finalize(out.response_bytes);
-  if (chaos) out.chaos_injected = chaos->stats().total_injected();
+  out.chaos_injected = down.stats().injected + up.stats().injected;
   out.invariant_violations = invariant_scope.violations();
   return out;
 }

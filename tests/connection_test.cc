@@ -95,8 +95,9 @@ TEST(Connection, TraceContainsHandshakeAndBothDirections) {
 TEST(Connection, SynLossRecoveredByRetry) {
   sim::LinkConfig up_cfg = link_rtt(50);
   Harness h(basic_config(5'000), link_rtt(50), up_cfg);
-  h.up.set_burst(0.0, Duration::millis(1), 1.0);  // outage drop prob = 1
-  h.up.force_outage(Duration::millis(100));       // swallow the first SYN
+  // A total outage swallows the first SYN.
+  h.up.open_episode(
+      {.effect = sim::Effect::kDrop, .length = Duration::millis(100)});
   h.run();
   EXPECT_TRUE(h.conn->done());
   EXPECT_TRUE(h.conn->metrics().completed);

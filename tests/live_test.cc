@@ -219,6 +219,28 @@ TEST(Live, TruncationAccounting) {
   EXPECT_EQ(live.stats().packets, 25u);
 }
 
+TEST(Live, PeakActiveFlowsSurvivesFlush) {
+  LiveAnalyzer live({}, nullptr);
+  // Three flows interleaved in time, none closed: all three are open at
+  // once before flush() finalizes them.
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint16_t port = 1; port <= 3; ++port) {
+      net::CapturedPacket p;
+      p.timestamp = TimePoint::from_us(round * 1000 + port);
+      p.key = {2, 1, 80, port};
+      p.tcp.seq = net::Seq32{static_cast<std::uint32_t>(1 + round * 100)};
+      p.payload_len = 100;
+      p.tcp.flags.ack = true;
+      live.add_packet(p);
+    }
+  }
+  EXPECT_EQ(live.stats().active_flows, 3u);
+  live.flush();
+  EXPECT_EQ(live.stats().active_flows, 0u);
+  EXPECT_EQ(live.stats().peak_active_flows, 3u);
+  EXPECT_EQ(live.stats().flows_finalized, 3u);
+}
+
 TEST(Live, FlushOnEmptyIsSafe) {
   LiveAnalyzer live({}, nullptr);
   EXPECT_NO_THROW(live.flush());

@@ -1,8 +1,10 @@
 // Tests for the discrete-event simulator and link models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "sim/chaos.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -250,11 +252,10 @@ TEST(Link, ForcedOutageDropsWindow) {
   Simulator sim;
   LinkConfig cfg;
   cfg.prop_delay = Duration::millis(1);
-  cfg.bad_loss = 1.0;
   Link link(sim, cfg, Rng(9));
   int delivered = 0;
   link.set_deliver([&](const net::CapturedPacket&) { ++delivered; });
-  link.force_outage(Duration::millis(100));
+  link.open_episode({.effect = Effect::kDrop, .length = Duration::millis(100)});
   for (int i = 0; i < 10; ++i) link.send(test_packet(1, 1));
   // After the outage, packets flow again.
   sim.schedule(Duration::millis(200), [&] {
@@ -262,34 +263,35 @@ TEST(Link, ForcedOutageDropsWindow) {
   });
   sim.run();
   EXPECT_EQ(delivered, 10);
-  EXPECT_EQ(link.stats().dropped_burst, 10u);
+  EXPECT_EQ(link.stats().dropped_episode, 10u);
+  EXPECT_EQ(link.stats().injected, 0u);  // unlabelled: a scripted outage
 }
 
 TEST(Link, BurstOutageIsTimeBased) {
+  // One packet per millisecond; each packet on a good path opens an outage
+  // with probability 1 %, and an outage drops everything for ~Exp(50 ms)
+  // of wall-clock time. Time-based outages swallow ~50 packets each, so
+  // about a third of the traffic drops (100 ms good, 50 ms bad on
+  // average); a per-packet chain would drop ~1 %. The path recovers
+  // between outages.
   Simulator sim;
   LinkConfig cfg;
   cfg.prop_delay = Duration::millis(1);
-  cfg.p_good_to_bad = 1.0;  // first packet triggers an outage
+  cfg.p_good_to_bad = 0.01;
   cfg.burst_duration = Duration::millis(50);
   cfg.bad_loss = 1.0;
   Link link(sim, cfg, Rng(11));
-  int delivered = 0;
-  link.set_deliver([&](const net::CapturedPacket&) { ++delivered; });
-  link.send(test_packet(1, 1));  // triggers outage; may itself drop
-  // A retransmission long after the outage must survive the bad state
-  // (time-based, not per-packet-chain). p_good_to_bad=1 means it will
-  // trigger a new outage, but the packet itself is evaluated against the
-  // *previous* state expiry... so send after a long quiet period and only
-  // count that burst triggers do not last forever.
-  int late_delivered = 0;
-  sim.schedule(Duration::seconds(10.0), [&] {
-    link.set_burst(0.0, Duration::millis(50), 1.0);
-    link.send(test_packet(2, 1));
-  });
+  link.set_deliver([](const net::CapturedPacket&) {});
+  const int n = 10'000;
+  for (int i = 0; i < n; ++i) {
+    sim.schedule(Duration::millis(i), [&] { link.send(test_packet(1, 1)); });
+  }
   sim.run();
-  (void)delivered;
-  late_delivered = static_cast<int>(link.stats().delivered);
-  EXPECT_GE(late_delivered, 1);
+  const double dropped = static_cast<double>(link.stats().dropped_episode) / n;
+  EXPECT_GT(dropped, 0.2);
+  EXPECT_LT(dropped, 0.5);
+  EXPECT_EQ(link.stats().delivered + link.stats().dropped_episode,
+            static_cast<std::uint64_t>(n));
 }
 
 TEST(Link, DeterministicGivenSeed) {
@@ -370,6 +372,241 @@ TEST(Simulator, CancelFromWithinHandler) {
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_FALSE(second_fired);
   EXPECT_TRUE(sim.empty());
+}
+
+// --- LinkEpisode: one case per episode effect ---------------------------
+
+net::CapturedPacket pure_ack_packet(std::uint32_t ack) {
+  net::CapturedPacket p;
+  p.key = {1, 2, 3, 4};
+  p.tcp.ack = net::Seq32{ack};
+  p.tcp.flags.ack = true;
+  p.tcp.window = 1000;
+  return p;
+}
+
+/// Sends `make(k)` on `link` at k ms for k in [0, n).
+template <typename Make>
+void send_every_ms(Simulator& sim, Link& link, std::uint32_t n, Make make) {
+  for (std::uint32_t k = 0; k < n; ++k) {
+    sim.schedule(Duration::millis(k), [&link, make, k] { link.send(make(k)); });
+  }
+}
+
+struct Arrival {
+  std::uint32_t id;
+  std::int64_t at_us;
+};
+
+TEST(LinkEpisode, BlackholeDropsBothDirectionsForExactlyItsWindow) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(1);
+  Link data(sim, cfg, Rng(1));
+  Link ack(sim, cfg, Rng(2));
+  constexpr std::uint32_t kPackets = 3000;
+  std::vector<bool> data_seen(kPackets), ack_seen(kPackets);
+  data.set_deliver(
+      [&](const net::CapturedPacket& p) { data_seen[p.tcp.seq.raw()] = true; });
+  ack.set_deliver(
+      [&](const net::CapturedPacket& p) { ack_seen[p.tcp.ack.raw()] = true; });
+  ChaosClock clock(sim, data, ack,
+                   ChaosConfig{}.with_seed(3).with_blackholes(
+                       2.0, Duration::millis(100)));
+  clock.start([&sim] { return sim.now() < TimePoint::from_us(2'500'000); });
+  send_every_ms(sim, data, kPackets, [](std::uint32_t k) {
+    return test_packet(k, 100);
+  });
+  send_every_ms(sim, ack, kPackets, pure_ack_packet);
+  sim.run();
+
+  // Both directions lose the same send instants, in runs of exactly the
+  // window's 100 one-millisecond sends.
+  EXPECT_EQ(data_seen, ack_seen);
+  std::size_t runs = 0, dropped = 0;
+  for (std::uint32_t k = 0; k < kPackets;) {
+    if (data_seen[k]) {
+      ++k;
+      continue;
+    }
+    std::uint32_t end = k;
+    while (end < kPackets && !data_seen[end]) ++end;
+    EXPECT_EQ(end - k, 100u) << "run starting at " << k << " ms";
+    dropped += end - k;
+    ++runs;
+    k = end;
+  }
+  EXPECT_GE(runs, 2u);
+  EXPECT_EQ(data.stats().dropped_episode, dropped);
+  EXPECT_EQ(data.stats().injected + ack.stats().injected, 2 * dropped);
+}
+
+TEST(LinkEpisode, HeldAcksReleasedInOrderAtWindowEndAfterFlowDone) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(10);
+  Link data(sim, cfg, Rng(1));
+  Link ack(sim, cfg, Rng(2));
+  std::vector<Arrival> arrivals;
+  ack.set_deliver([&](const net::CapturedPacket& p) {
+    arrivals.push_back({p.tcp.ack.raw(), p.timestamp.us()});
+  });
+  // The flow is "done" at 50 ms: it stops sending, and the clock opens no
+  // further window. The window open by then still releases its ACKs.
+  bool done = false;
+  ChaosClock clock(sim, data, ack,
+                   ChaosConfig{}.with_seed(7).with_ack_compression(
+                       50.0, Duration::millis(100)));
+  clock.start([&done] { return !done; });
+  send_every_ms(sim, ack, 50, pure_ack_packet);
+  sim.schedule(Duration::millis(50), [&done] { done = true; });
+  sim.run();
+
+  ASSERT_EQ(arrivals.size(), 50u);
+  std::int64_t first_held = 0;
+  while (first_held < 50 &&
+         arrivals[first_held].at_us == first_held * 1'000 + 10'000) {
+    ++first_held;
+  }
+  ASSERT_GT(first_held, 0);
+  ASSERT_LT(first_held, 50) << "no window opened before 50 ms";
+  // The window opened between the sends of the last passed ACK and the
+  // first held one, and lasted 100 ms; every held ACK leaves at its end,
+  // in the order it was sent.
+  const std::int64_t until = arrivals[first_held].at_us - 10'000;
+  EXPECT_GT(until - 100'000, (first_held - 1) * 1'000);
+  EXPECT_LE(until - 100'000, first_held * 1'000);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i].id, i);
+    if (static_cast<std::int64_t>(i) >= first_held) {
+      EXPECT_EQ(arrivals[i].at_us, until + 10'000);
+    }
+  }
+  EXPECT_EQ(ack.stats().injected, 50u - static_cast<std::uint64_t>(first_held));
+}
+
+TEST(LinkEpisode, ZeroWindowRewriteSparesSynAndSynAck) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(1);
+  Link link(sim, cfg, Rng(1));
+  std::vector<std::uint32_t> windows;
+  link.set_deliver(
+      [&](const net::CapturedPacket& p) { windows.push_back(p.tcp.window); });
+  link.open_episode({.effect = Effect::kZeroWindow,
+                     .length = Duration::millis(100),
+                     .kind = "rwnd_flap"});
+  net::CapturedPacket syn = test_packet(0, 0);
+  syn.tcp.flags.syn = true;
+  syn.tcp.window = 1000;
+  net::CapturedPacket synack = syn;
+  synack.tcp.flags.ack = true;
+  net::CapturedPacket data_ack = pure_ack_packet(1);
+  data_ack.payload_len = 100;
+  link.send(syn);
+  link.send(synack);
+  link.send(pure_ack_packet(1));
+  link.send(data_ack);
+  sim.schedule(Duration::millis(100),
+               [&] { link.send(pure_ack_packet(2)); });  // window closed
+  sim.run();
+  EXPECT_EQ(windows, (std::vector<std::uint32_t>{1000, 1000, 0, 0, 1000}));
+  EXPECT_EQ(link.stats().injected, 2u);
+}
+
+TEST(LinkEpisode, RetransDropNeverDropsFirstTransmission) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(1);
+  Link link(sim, cfg, Rng(1));
+  std::vector<std::uint32_t> seqs;
+  link.set_deliver(
+      [&](const net::CapturedPacket& p) { seqs.push_back(p.tcp.seq.raw()); });
+  link.open_episode({.effect = Effect::kDropRetrans,
+                     .length = Duration::max(),
+                     .prob = 1.0,
+                     .kind = "retrans_drop"});
+  const std::uint32_t base = 0xffffff00u;  // first transmissions wrap
+  std::vector<std::uint32_t> first;
+  for (std::uint32_t i = 0; i < 5; ++i) first.push_back(base + i * 100);
+  for (std::uint32_t s : first) link.send(test_packet(s, 100));
+  link.send(test_packet(first[1], 100));  // retransmissions
+  link.send(test_packet(first[4], 100));
+  link.send(test_packet(first[2] + 50, 100));  // overlaps sent data
+  const std::uint32_t next = base + 500;
+  link.send(test_packet(next, 100));  // new data after the retransmissions
+  link.send(test_packet(next + 100, 0));  // pure ACK: never a retransmission
+  sim.run();
+  first.push_back(next);
+  first.push_back(next + 100);
+  EXPECT_EQ(seqs, first);
+  EXPECT_EQ(link.stats().dropped_episode, 3u);
+  EXPECT_EQ(link.stats().injected, 3u);
+}
+
+TEST(LinkEpisode, ReorderWindowLetsLaterPacketsOvertake) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(10);
+  Link link(sim, cfg, Rng(21));
+  std::vector<std::uint32_t> seqs;
+  link.set_deliver(
+      [&](const net::CapturedPacket& p) { seqs.push_back(p.tcp.seq.raw()); });
+  link.open_episode({.effect = Effect::kReorder,
+                     .length = Duration::millis(100),
+                     .prob = 0.3,
+                     .delay = Duration::millis(50)});
+  send_every_ms(sim, link, 300,
+                [](std::uint32_t k) { return test_packet(k, 100); });
+  sim.run();
+  ASSERT_EQ(seqs.size(), 300u);
+  // A packet arriving after a later-sent one was held by the window, so it
+  // was sent inside it; packets sent after the window keep their order.
+  std::size_t overtaken = 0;
+  std::uint32_t highest = 0;
+  std::vector<std::uint32_t> after_window;
+  for (std::uint32_t s : seqs) {
+    if (s < highest) {
+      ++overtaken;
+      EXPECT_LT(s, 100u) << "packet sent at " << s << " ms was held";
+    }
+    highest = std::max(highest, s);
+    if (s >= 100) after_window.push_back(s);
+  }
+  EXPECT_GT(overtaken, 10u);
+  EXPECT_TRUE(std::is_sorted(after_window.begin(), after_window.end()));
+  EXPECT_EQ(link.stats().injected, 0u);  // unlabelled episode
+}
+
+TEST(LinkEpisode, RttSpikeWindowKeepsFifoOrder) {
+  Simulator sim;
+  LinkConfig cfg;
+  cfg.prop_delay = Duration::millis(10);
+  Link link(sim, cfg, Rng(5));
+  std::vector<Arrival> arrivals;
+  link.set_deliver([&](const net::CapturedPacket& p) {
+    arrivals.push_back({p.tcp.seq.raw(), p.timestamp.us()});
+  });
+  link.open_episode({.effect = Effect::kDelay,
+                     .length = Duration::millis(100),
+                     .delay = Duration::millis(50),
+                     .kind = "rtt_spike"});
+  send_every_ms(sim, link, 200,
+                [](std::uint32_t k) { return test_packet(k, 100); });
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 200u);
+  for (std::uint32_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i].id, i);  // later packets never overtake
+    const std::int64_t sent_us = std::int64_t{i} * 1'000;
+    if (i < 100) {
+      EXPECT_EQ(arrivals[i].at_us, sent_us + 60'000);
+    } else {
+      // Behind the last spiked packet (99 ms + 60 ms), then on time.
+      EXPECT_EQ(arrivals[i].at_us, std::max<std::int64_t>(sent_us + 10'000,
+                                                          159'000));
+    }
+  }
+  EXPECT_EQ(link.stats().injected, 100u);
 }
 
 }  // namespace
