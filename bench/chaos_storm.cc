@@ -65,11 +65,18 @@ const char* mode_name(tcp::RecoveryMechanism m) {
 }
 
 /// Deterministic per-(service, scenario, index) seed, independent of the
-/// recovery mode so all three mechanisms replay the identical storm.
-std::uint64_t storm_seed(std::size_t svc, std::size_t scen, std::size_t i) {
-  Rng r(kBenchSeed ^ (static_cast<std::uint64_t>(svc + 1) << 40) ^
-        (static_cast<std::uint64_t>(scen + 1) << 20) ^ (i + 1));
-  return r.next_u64();
+/// recovery mode so all three mechanisms replay the identical storm. Each
+/// coordinate in turn picks the n-th split of its parent's stream, so
+/// neighbouring base seeds draw unrelated instances.
+std::uint64_t storm_seed(std::uint64_t base, std::size_t svc,
+                         std::size_t scen, std::size_t i) {
+  std::uint64_t seed = base;
+  for (const std::size_t n : {svc, scen, i}) {
+    Rng r(seed);
+    for (std::size_t k = 0; k < n; ++k) r.split_seed();
+    seed = r.split_seed();
+  }
+  return seed;
 }
 
 /// One seeded scenario instance under one recovery mode.
@@ -233,7 +240,7 @@ int main(int argc, char** argv) {
       for (std::size_t c = 0; c < catalog.size(); ++c) {
         const sim::ChaosScenario& sc = catalog[c];
         for (std::size_t i = 0; i < per_cell; ++i) {
-          const std::uint64_t seed = storm_seed(s, c, i);
+          const std::uint64_t seed = storm_seed(kBenchSeed, s, c, i);
           const auto out = run_one(kServices[s], mode, sc, seed);
           ++t.flows;
           t.violations += out.invariant_violations;

@@ -95,6 +95,22 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventLoop);
 
+// The sender's per-ACK RTO pattern: one timer pushed later 10k times ahead
+// of its deadline, then the loop drains the superseded expiries and fires
+// once. Items are arms.
+void BM_TimerRearm(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::Simulator sim;
+    int fires = 0;
+    sim::Timer rto(sim, [&fires] { ++fires; });
+    for (int i = 0; i < 10'000; ++i) rto.arm(Duration::micros(200'000 + i));
+    sim.run();
+    benchmark::DoNotOptimize(fires);
+  }
+  state.SetItemsProcessed(state.iterations() * 10'000);
+}
+BENCHMARK(BM_TimerRearm);
+
 void BM_SimulateOneFlow(benchmark::State& state) {
   workload::ExperimentConfig cfg;
   cfg.profile = workload::web_search_profile();

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "telemetry/telemetry.h"
@@ -17,99 +18,95 @@ void count_executed(std::size_t executed) {
   events.add(executed);
 }
 
+/// Heap order: earliest time first; FIFO among equal times.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  // tapo-lint: allow(seq-compare) — the schedule counter, not a TCP seq
+  return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+};
+
 }  // namespace
 
-EventId Simulator::schedule(Duration delay, EventFn fn) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
+void Simulator::schedule_at(TimePoint when, EventFn fn) {
+  const std::uint32_t slot = take_slot();
+  slots_[slot].fn = std::move(fn);
+  push(when, slot);
 }
 
-EventId Simulator::schedule_at(TimePoint when, EventFn fn) {
-  if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  queue_.push(Event{when, id});
-  handlers_.emplace(id, std::move(fn));
-  return id;
-}
-
-void Simulator::cancel(EventId id) {
-  // The queue entry becomes a stale tombstone, dropped by peek_runnable.
-  handlers_.erase(id);
-}
-
-bool Simulator::peek_runnable(HandlerMap::iterator& it) {
-  while (!queue_.empty()) {
-    it = handlers_.find(queue_.top().id);
-    if (it != handlers_.end()) return true;
-    queue_.pop();  // cancelled: no handler left for this id
+std::uint32_t Simulator::take_slot() {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
   }
-  return false;
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
-std::size_t Simulator::run(std::size_t limit) {
+void Simulator::push(TimePoint when, std::uint32_t slot) {
+  if (when < now_) when = now_;
+  slots_[slot].seq = next_seq_;
+  heap_.push_back(Event{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), kLater);
+}
+
+/// Superseded entries: their timer was re-armed, cancelled or destroyed.
+bool Simulator::prune() {
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].seq != heap_.front().seq) {
+    std::pop_heap(heap_.begin(), heap_.end(), kLater);
+    heap_.pop_back();
+  }
+  return !heap_.empty();
+}
+
+std::size_t Simulator::loop(TimePoint deadline, std::size_t max_events) {
   std::size_t executed = 0;
-  HandlerMap::iterator it;
-  while (executed < limit && peek_runnable(it)) {
-    const Event ev = queue_.top();
-    queue_.pop();
+  while (executed < max_events && prune() && heap_.front().when <= deadline) {
+    const Event ev = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), kLater);
+    heap_.pop_back();
     now_ = ev.when;
-    EventFn fn = std::move(it->second);
-    handlers_.erase(it);
-    fn();
+    Slot& slot = slots_[ev.slot];
+    slot.seq = 0;
+    if (Timer* timer = slot.timer) {
+      timer->on_fire_();
+    } else {
+      // Free the slot first: the callback may schedule into it.
+      EventFn fn = std::move(slot.fn);
+      free_slots_.push_back(ev.slot);
+      fn();
+    }
     ++executed;
   }
   count_executed(executed);
   return executed;
 }
 
-std::size_t Simulator::run_until(TimePoint deadline) {
-  return run_until(deadline, SIZE_MAX);
-}
-
 std::size_t Simulator::run_until(TimePoint deadline, std::size_t max_events) {
-  std::size_t executed = 0;
-  HandlerMap::iterator it;
-  while (executed < max_events && peek_runnable(it)) {
-    const Event ev = queue_.top();
-    // Beyond the deadline: leave it queued (handler intact) for a later
-    // run call — no re-push needed since we only peeked.
-    if (ev.when > deadline) break;
-    queue_.pop();
-    now_ = ev.when;
-    EventFn fn = std::move(it->second);
-    handlers_.erase(it);
-    fn();
-    ++executed;
-  }
-  // Budget exhaustion leaves virtual time at the last executed event, so a
-  // tripped watchdog reports where the run stuck rather than the deadline.
-  const bool exhausted = executed >= max_events && peek_runnable(it) &&
-                         queue_.top().when <= deadline;
-  if (!exhausted && now_ < deadline) now_ = deadline;
-  count_executed(executed);
+  const std::size_t executed = loop(deadline, max_events);
+  const auto next = next_event_time();
+  if (!(next && *next <= deadline) && now_ < deadline) now_ = deadline;
   return executed;
 }
 
 std::optional<TimePoint> Simulator::next_event_time() {
-  HandlerMap::iterator it;
-  if (!peek_runnable(it)) return std::nullopt;
-  return queue_.top().when;
+  return prune() ? std::optional(heap_.front().when) : std::nullopt;
+}
+
+Timer::Timer(Simulator& sim, EventFn on_fire)
+    : sim_(sim), on_fire_(std::move(on_fire)), slot_(sim_.take_slot()) {
+  sim_.slots_[slot_].timer = this;
+}
+
+Timer::~Timer() {
+  // Seqs never repeat: queued expiries stay dead when the slot is reused.
+  sim_.slots_[slot_] = {};
+  sim_.free_slots_.push_back(slot_);
 }
 
 void Timer::arm(Duration delay) {
-  cancel();
   deadline_ = sim_.now() + delay;
-  pending_ = sim_.schedule(delay, [this] {
-    pending_ = 0;
-    on_fire_();
-  });
-}
-
-void Timer::cancel() {
-  if (pending_ != 0) {
-    sim_.cancel(pending_);
-    pending_ = 0;
-  }
+  sim_.push(deadline_, slot_);
 }
 
 }  // namespace tapo::sim

@@ -1,19 +1,17 @@
 // Discrete-event simulation core.
 //
-// A single-threaded event loop with microsecond virtual time. Events
-// scheduled for the same instant fire in scheduling order (FIFO), which
-// keeps runs fully deterministic. Timers are cancellable handles — TCP
-// rearms/cancels its RTO, delayed-ACK, probe and persist timers constantly,
-// so cancellation is O(1): cancel() just erases the handler, and stale
-// queue entries (ids with no handler) are dropped lazily at pop time. The
-// handler map is the single source of truth for what is pending.
+// A single-threaded event loop with microsecond virtual time. One binary
+// heap orders every pending event by (when, seq); `seq` counts schedules
+// and timer arms, so same-instant events fire in scheduling order (FIFO)
+// and runs are deterministic. Each entry names a slot holding its callback
+// (or its Timer) and the seq of the slot's live entry. A Timer keeps one
+// slot, so the RTO re-arm on every ACK is one heap push; an entry whose
+// seq no longer matches its slot's is dropped at the head, never executed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/time.h"
@@ -22,87 +20,83 @@ namespace tapo::sim {
 
 using EventFn = std::function<void()>;
 
-/// Identifies a scheduled event; 0 is never a valid id.
-using EventId = std::uint64_t;
+class Timer;
 
 class Simulator {
  public:
   TimePoint now() const { return now_; }
 
   /// Schedules `fn` to run `delay` from now. Negative delays clamp to now.
-  EventId schedule(Duration delay, EventFn fn);
-  EventId schedule_at(TimePoint when, EventFn fn);
-
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// no-op (timers race with the events that cancel them).
-  void cancel(EventId id);
+  void schedule(Duration delay, EventFn fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  void schedule_at(TimePoint when, EventFn fn);
 
   /// Runs until the queue drains or `limit` events have fired.
   /// Returns the number of events executed.
-  std::size_t run(std::size_t limit = SIZE_MAX);
+  std::size_t run(std::size_t limit = SIZE_MAX) {
+    return loop(TimePoint::max(), limit);
+  }
 
-  /// Runs events with timestamp <= deadline.
-  std::size_t run_until(TimePoint deadline);
+  /// Runs events with timestamp <= deadline, at most `max_events` of them,
+  /// then advances virtual time to the deadline. Returns the number run. If
+  /// the budget trips (runnable work is still due by the deadline) virtual
+  /// time stays at the last event and the caller decides whether that is
+  /// divergence; event order never depends on the budget.
+  std::size_t run_until(TimePoint deadline,
+                        std::size_t max_events = SIZE_MAX);
 
-  /// Watchdog variant: runs events with timestamp <= deadline, but at most
-  /// `max_events` of them. Returns the number executed; a return value equal
-  /// to `max_events` with runnable work still pending (next_event_time() at
-  /// or before the deadline) means the budget tripped — the caller decides
-  /// whether that is divergence. Event order is identical to the unbudgeted
-  /// overload, so a budget that never trips changes nothing.
-  std::size_t run_until(TimePoint deadline, std::size_t max_events);
-
-  /// Timestamp of the earliest pending (non-cancelled) event, if any.
-  /// Non-const: lazily drops cancelled tombstones off the queue head.
+  /// Earliest pending time, if any; drops superseded entries off the head.
   std::optional<TimePoint> next_event_time();
-
-  bool empty() const { return handlers_.empty(); }
-  std::size_t pending() const { return handlers_.size(); }
+  bool empty() { return !next_event_time(); }
 
  private:
+  friend class Timer;
+  // Trivially copyable, so heap sifts move 24 bytes and no callable.
   struct Event {
     TimePoint when;
-    EventId id;
-    // Heap entry ordering: earliest time first; FIFO among equal times.
-    bool operator>(const Event& o) const {
-      if (when != o.when) return when > o.when;
-      return id > o.id;
-    }
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Slot {
+    EventFn fn;              // a plain event's callback
+    Timer* timer = nullptr;  // or the timer this slot belongs to
+    std::uint64_t seq = 0;   // the live entry's seq; 0 when none
   };
 
-  using HandlerMap = std::unordered_map<EventId, EventFn>;
-
-  /// Drops cancelled entries off the top of the queue until the head is a
-  /// live event (its handler iterator is returned through `it`; the event
-  /// itself stays queued so callers can peek the deadline first) or the
-  /// queue is exhausted. One hash lookup per popped entry.
-  bool peek_runnable(HandlerMap::iterator& it);
+  std::uint32_t take_slot();
+  void push(TimePoint when, std::uint32_t slot);
+  /// Pops superseded entries off the head; false once nothing is queued.
+  bool prune();
+  /// The one event loop behind run() and run_until().
+  std::size_t loop(TimePoint deadline, std::size_t max_events);
 
   TimePoint now_ = TimePoint::epoch();
-  EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  HandlerMap handlers_;
+  std::uint64_t next_seq_ = 1;
+  std::vector<Event> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
-/// A self-rearming timer bound to one Simulator. Guarantees at most one
-/// pending expiry; arm() while pending reschedules.
+/// A self-rearming timer bound to one Simulator, which it must not outlive.
+/// At most one expiry is pending: arm() reschedules, destruction cancels.
 class Timer {
  public:
-  Timer(Simulator& sim, EventFn on_fire)
-      : sim_(sim), on_fire_(std::move(on_fire)) {}
-  ~Timer() { cancel(); }
+  Timer(Simulator& sim, EventFn on_fire);
+  ~Timer();
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
   void arm(Duration delay);
-  void cancel();
-  bool armed() const { return pending_ != 0; }
+  void cancel() { sim_.slots_[slot_].seq = 0; }
+  bool armed() const { return sim_.slots_[slot_].seq != 0; }
   TimePoint deadline() const { return deadline_; }
 
  private:
+  friend class Simulator;
   Simulator& sim_;
   EventFn on_fire_;
-  EventId pending_ = 0;
+  std::uint32_t slot_;
   TimePoint deadline_;
 };
 

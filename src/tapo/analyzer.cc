@@ -689,6 +689,10 @@ void FlowMimic::run(FlowAnalysis& out) {
   out.key = meta_.server_to_client;
   out.init_rwnd_bytes = meta_.init_rwnd_bytes;
   out.init_rwnd_mss = meta_.mss ? meta_.init_rwnd_bytes / meta_.mss : 0;
+  // At most one sample per client ACK; rtt_samples_us has no tight bound.
+  if (config_.sample_inflight_on_ack) {
+    out.inflight_on_ack.reserve(meta_.client_packets);
+  }
 
   annos_.resize(packets_.size());
   for (std::size_t i = 0; i < packets_.size(); ++i) {

@@ -51,10 +51,12 @@ FlowView make_flow_view(std::span<const net::CapturedPacket> packets,
   // src the canonical key's src".
   const net::FlowKey canon = packets.front().key.canonical();
   std::uint64_t payload_a = 0, payload_b = 0;
+  std::size_t packets_a = 0;
   bool synack_from_a = false, synack_from_b = false;
   for (const net::CapturedPacket& cp : packets) {
     const bool synack = cp.tcp.flags.syn && cp.tcp.flags.ack;
     if (cp.key == canon) {
+      ++packets_a;
       payload_a += cp.payload_len;
       synack_from_a |= synack;
     } else {
@@ -71,6 +73,7 @@ FlowView make_flow_view(std::span<const net::CapturedPacket> packets,
     server_is_a = payload_a >= payload_b;
   }
   view.server_to_client = server_is_a ? canon : canon.reversed();
+  view.client_packets = server_is_a ? packets.size() - packets_a : packets_a;
 
   // Pass 2: the handshake/transfer meta.
   for (const net::CapturedPacket& cp : packets) {

@@ -42,6 +42,7 @@ struct FlowMeta {
 
   std::uint64_t server_payload_bytes = 0;  // sum over packets (incl. retrans)
   std::uint64_t client_payload_bytes = 0;
+  std::size_t client_packets = 0;  // bounds the mimic's per-ACK samples
 
   /// Capture started mid-connection: no SYN or SYN-ACK was observed but
   /// server data was (rotated captures, mid-stream taps). The mimic then

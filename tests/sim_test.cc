@@ -36,16 +36,20 @@ TEST(Simulator, FifoAmongEqualTimes) {
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.schedule(Duration::millis(1), [&] { fired = true; });
-  sim.cancel(id);
-  sim.run();
+  Timer t(sim, [&] { fired = true; });
+  t.arm(Duration::millis(1));
+  t.cancel();
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(sim.run(), 0u);
   EXPECT_FALSE(fired);
   EXPECT_TRUE(sim.empty());
 }
 
 TEST(Simulator, CancelUnknownIsNoop) {
   Simulator sim;
-  sim.cancel(9999);
+  Timer t(sim, [] {});
+  t.cancel();  // never armed
+  EXPECT_FALSE(t.armed());
   EXPECT_TRUE(sim.empty());
 }
 
@@ -313,35 +317,38 @@ TEST(Link, DeterministicGivenSeed) {
 }
 
 
-// --- cancellation bookkeeping: the handler map is the source of truth ---
+// --- cancellation: a timer's superseded expiry is dropped at pop ---------
 
 TEST(Simulator, PendingAndEmptyTrackCancellationImmediately) {
   Simulator sim;
-  const EventId a = sim.schedule(Duration::millis(1), [] {});
-  const EventId b = sim.schedule(Duration::millis(2), [] {});
-  sim.schedule(Duration::millis(3), [] {});
-  EXPECT_EQ(sim.pending(), 3u);
-  sim.cancel(a);
-  EXPECT_EQ(sim.pending(), 2u);
+  int fired = 0;
+  Timer a(sim, [&] { ++fired; });
+  Timer b(sim, [&] { ++fired; });
+  a.arm(Duration::millis(1));
+  b.arm(Duration::millis(2));
+  sim.schedule(Duration::millis(3), [&] { ++fired; });
+  a.cancel();
   EXPECT_FALSE(sim.empty());
-  sim.cancel(b);
-  sim.cancel(b);  // double-cancel is a no-op
-  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.next_event_time(), TimePoint::from_us(2'000));
+  b.cancel();
+  b.cancel();  // double-cancel is a no-op
+  EXPECT_EQ(sim.next_event_time(), TimePoint::from_us(3'000));
   EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.empty());
-  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Simulator, RunUntilLeavesLaterEventsPending) {
   Simulator sim;
   int fired = 0;
+  Timer late(sim, [&] { ++fired; });
   sim.schedule(Duration::millis(1), [&] { ++fired; });
-  const EventId late = sim.schedule(Duration::millis(10), [&] { ++fired; });
+  late.arm(Duration::millis(10));
   EXPECT_EQ(sim.run_until(TimePoint::epoch() + Duration::millis(5)), 1u);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_TRUE(late.armed());
   EXPECT_FALSE(sim.empty());
-  sim.cancel(late);
+  late.cancel();
   EXPECT_TRUE(sim.empty());
   EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(fired, 1);
@@ -350,13 +357,14 @@ TEST(Simulator, RunUntilLeavesLaterEventsPending) {
 TEST(Simulator, RunUntilSkipsCancelledHead) {
   Simulator sim;
   bool fired = false;
-  const EventId head = sim.schedule(Duration::millis(1), [&] { fired = true; });
+  Timer head(sim, [&] { fired = true; });
+  head.arm(Duration::millis(1));
   sim.schedule(Duration::millis(8), [&] { fired = true; });
-  sim.cancel(head);
+  head.cancel();
   // The cancelled head must not stop run_until from seeing that the next
   // *live* event is beyond the deadline.
   EXPECT_EQ(sim.run_until(TimePoint::epoch() + Duration::millis(5)), 0u);
-  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.now().us(), 5'000);
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_TRUE(fired);
@@ -366,12 +374,77 @@ TEST(Simulator, RunUntilSkipsCancelledHead) {
 TEST(Simulator, CancelFromWithinHandler) {
   Simulator sim;
   bool second_fired = false;
-  const EventId second =
-      sim.schedule(Duration::millis(2), [&] { second_fired = true; });
-  sim.schedule(Duration::millis(1), [&] { sim.cancel(second); });
+  Timer second(sim, [&] { second_fired = true; });
+  second.arm(Duration::millis(2));
+  sim.schedule(Duration::millis(1), [&] { second.cancel(); });
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_FALSE(second_fired);
   EXPECT_TRUE(sim.empty());
+}
+
+TEST(Timer, DestroyedWhileQueuedNeverFires) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(Duration::millis(7), [&] { ++fired; });
+  {
+    Timer doomed(sim, [&] { fired += 100; });
+    doomed.arm(Duration::millis(5));
+  }
+  EXPECT_EQ(sim.run_until(TimePoint::from_us(8'000)), 1u);
+  EXPECT_EQ(fired, 1);
+  // A later timer takes over a destroyed one's slot; the dead expiry must
+  // not fire it.
+  {
+    Timer doomed(sim, [&] { fired += 100; });
+    doomed.arm(Duration::millis(5));
+  }
+  Timer reuser(sim, [&] { ++fired; });
+  reuser.arm(Duration::millis(10));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now().us(), 18'000);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(Timer, TiesWithPlainEventsFireInArmOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  Timer first(sim, [&] { order.push_back(1); });
+  Timer third(sim, [&] { order.push_back(3); });
+  first.arm(Duration::millis(4));
+  sim.schedule(Duration::millis(4), [&] { order.push_back(2); });
+  third.arm(Duration::millis(4));
+  sim.schedule(Duration::millis(4), [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Timer, SupersededExpiryIsInvisible) {
+  Simulator sim;
+  int fired = 0;
+  Timer t(sim, [&] { ++fired; });
+  t.arm(Duration::millis(1));
+  t.arm(Duration::millis(2));
+  t.cancel();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.next_event_time());
+  // The sender's RTO pattern: re-armed ahead of its deadline on every ACK.
+  t.arm(Duration::millis(1));
+  t.arm(Duration::millis(2));
+  t.arm(Duration::millis(3));
+  EXPECT_EQ(sim.next_event_time(), TimePoint::from_us(3'000));
+  sim.schedule(Duration::millis(4), [&] { ++fired; });
+  // Two superseded entries sit ahead of the live ones; a budget of one
+  // still reaches the live expiry and stops there.
+  EXPECT_EQ(sim.run_until(TimePoint::from_us(10'000), 1), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now().us(), 3'000);
+  t.arm(Duration::millis(5));
+  t.cancel();
+  EXPECT_EQ(sim.next_event_time(), TimePoint::from_us(4'000));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_FALSE(sim.next_event_time());
 }
 
 // --- LinkEpisode: one case per episode effect ---------------------------
