@@ -72,7 +72,6 @@ struct CapturedPacket {
     return tcp.seq + (payload_len + (tcp.flags.syn ? 1u : 0u) +
                       (tcp.flags.fin ? 1u : 0u));
   }
-  bool has_payload() const { return payload_len > 0; }
 };
 static_assert(std::is_trivially_copyable_v<CapturedPacket>,
               "CapturedPacket must stay a POD so PacketTrace can keep its "

@@ -150,11 +150,24 @@ void Link::send(net::CapturedPacket pkt) {
     if (arrive < last_arrival_) arrive = last_arrival_;
     last_arrival_ = arrive;
   }
-  sim_.schedule_at(arrive, [this, pkt = std::move(pkt)]() mutable {
+  std::uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    if (in_flight_.empty()) in_flight_.reserve(16);
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back({pkt});
+  } else {
+    free_head_ = in_flight_[slot].next_free;
+    in_flight_[slot].pkt = pkt;
+  }
+  sim_.schedule_at(arrive, [this, slot] {
+    // Copy out and free the slot first: the handler may send on this link.
+    net::CapturedPacket out = in_flight_[slot].pkt;
+    in_flight_[slot].next_free = free_head_;
+    free_head_ = slot;
     ++stats_.delivered;
     if (deliver_) {
-      pkt.timestamp = sim_.now();
-      deliver_(pkt);
+      out.timestamp = sim_.now();
+      deliver_(out);
     }
   });
 }

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "net/trace.h"
 #include "sim/simulator.h"
@@ -175,6 +176,17 @@ class Link {
   TimePoint busy_until_ = TimePoint::epoch();
   TimePoint last_arrival_ = TimePoint::epoch();
   std::size_t queued_ = 0;
+  /// Packets on the wire, in slots reused through a free list threaded
+  /// through the free slots: a delivery event captures only {this, slot},
+  /// which std::function stores inline, so a packet crossing the link
+  /// allocates nothing once the slab has grown to the link's peak.
+  struct Slot {
+    net::CapturedPacket pkt;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffff;
+  std::vector<Slot> in_flight_;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
 }  // namespace tapo::sim

@@ -29,7 +29,6 @@ class Histogram {
 
   std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  double bin_lo(std::size_t i) const { return edges_[i]; }
   double bin_hi(std::size_t i) const { return edges_[i + 1]; }
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }

@@ -1,13 +1,9 @@
 #include "tapo/analyzer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
-#include <set>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "tapo/live.h"
 #include "telemetry/telemetry.h"
@@ -43,31 +39,16 @@ const char* to_string(RetransCause c) {
 }
 
 AnalyzerConfig& AnalyzerConfig::with_tau(double t) {
-  if (!(t > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: tau must be > 0, got " +
-                                std::to_string(t));
-  }
-  tau = t;
-  return *this;
+  return set_validated(*this, [t](AnalyzerConfig& c) { c.tau = t; });
 }
 
 AnalyzerConfig& AnalyzerConfig::with_dupthres(std::uint32_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: dupthres must be > 0 (zero would classify every "
-        "retransmission as fast)");
-  }
-  dupthres = n;
-  return *this;
+  return set_validated(*this, [n](AnalyzerConfig& c) { c.dupthres = n; });
 }
 
 AnalyzerConfig& AnalyzerConfig::with_small_inflight(std::uint32_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: small_inflight must be > 0");
-  }
-  small_inflight = n;
-  return *this;
+  return set_validated(*this,
+                       [n](AnalyzerConfig& c) { c.small_inflight = n; });
 }
 
 AnalyzerConfig& AnalyzerConfig::with_rto(const tcp::RtoConfig& cfg) {
@@ -76,14 +57,7 @@ AnalyzerConfig& AnalyzerConfig::with_rto(const tcp::RtoConfig& cfg) {
 }
 
 AnalyzerConfig& AnalyzerConfig::with_rto_fraction(double f) {
-  // Values above 1 are legitimate (stricter timeout attribution: the
-  // segment must have been quiet for more than a full RTO).
-  if (!(f > 0.0)) {
-    throw std::invalid_argument(
-        "AnalyzerConfig: rto_fraction must be > 0, got " + std::to_string(f));
-  }
-  rto_fraction = f;
-  return *this;
+  return set_validated(*this, [f](AnalyzerConfig& c) { c.rto_fraction = f; });
 }
 
 AnalyzerConfig& AnalyzerConfig::with_inflight_sampling(bool on) {
@@ -92,34 +66,35 @@ AnalyzerConfig& AnalyzerConfig::with_inflight_sampling(bool on) {
 }
 
 AnalyzerConfig& AnalyzerConfig::with_dup_window(Duration w) {
-  if (w < Duration::zero()) {
-    throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");
-  }
-  dup_window = w;
-  suppress_capture_dups = true;
-  return *this;
+  return set_validated(*this, [w](AnalyzerConfig& c) {
+    c.dup_window = w;
+    c.suppress_capture_dups = true;
+  });
 }
 
 AnalyzerConfig& AnalyzerConfig::with_ts_quantum(Duration q) {
-  if (q < Duration::zero()) {
-    throw std::invalid_argument("AnalyzerConfig: ts_quantum must be >= 0");
-  }
-  ts_quantum = q;
-  return *this;
+  return set_validated(*this, [q](AnalyzerConfig& c) { c.ts_quantum = q; });
 }
 
 void AnalyzerConfig::validate() const {
   if (!(tau > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: tau must be > 0");
+    throw std::invalid_argument("AnalyzerConfig: tau must be > 0, got " +
+                                std::to_string(tau));
   }
   if (dupthres == 0) {
-    throw std::invalid_argument("AnalyzerConfig: dupthres must be > 0");
+    throw std::invalid_argument(
+        "AnalyzerConfig: dupthres must be > 0 (zero would classify every "
+        "retransmission as fast)");
   }
   if (small_inflight == 0) {
     throw std::invalid_argument("AnalyzerConfig: small_inflight must be > 0");
   }
+  // Values above 1 are legitimate (stricter timeout attribution: the
+  // segment must have been quiet for more than a full RTO).
   if (!(rto_fraction > 0.0)) {
-    throw std::invalid_argument("AnalyzerConfig: rto_fraction must be > 0");
+    throw std::invalid_argument(
+        "AnalyzerConfig: rto_fraction must be > 0, got " +
+        std::to_string(rto_fraction));
   }
   if (dup_window < Duration::zero()) {
     throw std::invalid_argument("AnalyzerConfig: dup_window must be >= 0");
@@ -164,6 +139,20 @@ void record_stall(const StallRecord& rec) {
   duration_hist.observe(dur_us);
 }
 
+double mean(const std::vector<double>& v) {
+  double sum = 0;
+  for (double x : v) sum += x;
+  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+/// Bytes `v` holds after `extra` more push_backs (doubling growth).
+template <typename T>
+std::size_t bytes(const std::vector<T>& v, std::size_t extra) {
+  std::size_t cap = v.capacity();
+  if (v.size() + extra > cap) cap = std::max(2 * cap, v.size() + extra);
+  return cap * sizeof(T);
+}
+
 /// Telemetry tap for the per-flow CaptureQuality record, incremented once
 /// per analyzed flow from the record's own totals, so the counters and any
 /// sum over FlowAnalysis::capture agree exactly (the robustness harness
@@ -185,165 +174,38 @@ void record_capture_quality(const CaptureQuality& q) {
   }
 }
 
-/// Per-segment state reconstructed by the mimic. Segments persist for the
-/// whole analysis (never popped) so stall classification can look ahead.
-struct SegMimic {
-  net::Seq32 start;
-  net::Seq32 end;
-  std::size_t index = 0;  // ordinal among unique data segments
-  std::vector<TimePoint> tx_times;
-  TimePoint acked_time = TimePoint::max();
-  TimePoint sacked_time = TimePoint::max();
-  bool first_retrans_was_rto = false;
-  bool rto_retransmitted = false;
-  bool fast_retransmitted = false;
-  bool dsacked = false;
-  /// Synthesized for a server-side sequence gap: the capture never recorded
-  /// the original transmission of these bytes. Never yields RTT samples;
-  /// "retransmissions" of it demote their stall to kUndetermined.
-  bool inferred = false;
-  // Live flags during the walk (scoreboard mirror).
-  bool acked = false;
-  bool sacked = false;
-  bool lost_est = false;
-  bool retrans_pending = false;
+}  // namespace
 
-  std::uint32_t len() const { return net::distance(start, end); }
-  int transmissions() const { return static_cast<int>(tx_times.size()); }
-};
-
-/// Per-packet snapshot written during the mimic walk (pass 1) and consumed
-/// by the stall detector/classifier (pass 2).
-struct PktAnno {
-  tcp::CaState state = tcp::CaState::kOpen;
-  std::uint32_t in_flight = 0;
-  std::uint32_t outstanding = 0;  // packets_out
-  std::uint32_t cwnd_est = 0;
-  std::uint32_t rwnd_scaled = 0;
-  bool has_srtt = false;
-  Duration srtt;
-  Duration rto;
-  bool established = false;
-
-  bool server_data = false;
-  bool is_retrans = false;
-  bool is_timeout_retrans = false;
-  int prior_retrans = 0;
-  bool first_retrans_was_rto = false;
-  int seg_idx = -1;
-  bool is_request = false;
-  /// This packet's evidence overlaps a capture artifact (retransmission of
-  /// an inferred gap segment): cause classification cannot be trusted.
-  bool capture_suspect = false;
-};
-
-/// The one packet shape the mimic understands: a CapturedPacket lowered to
-/// the fields the mimic reads, with direction resolved against the flow's
-/// orientation key. Stack data plus a borrowed SACK span.
-struct PacketView {
-  TimePoint ts;
-  net::Seq32 seq;
-  net::Seq32 ack;
-  std::uint32_t payload = 0;
-  std::uint16_t window = 0;
-  net::TcpFlags flags;
-  bool from_server = false;
-  std::span<const net::SackBlock> sacks;
-  bool truncated = false;  // snaplen cut this record's options
-};
-
-/// The TCP-stack mimic + stall classifier over one flow's packets, read in
-/// place from the arena the FlowView borrows.
-class FlowMimic {
- public:
-  FlowMimic(const FlowView& view, const AnalyzerConfig& config)
-      : packets_(view.packets),
-        meta_(view),
-        config_(config),
-        rto_(config.rto) {
-    if (meta_.mid_stream) {
-      // No handshake in the capture: seed sequence state from the first
-      // server data packet and remember that this "stream head" is
-      // synthetic — it is where the *capture* starts, not necessarily
-      // where a response starts.
-      snd_nxt_ = meta_.first_server_data_seq;
-      quality_.mid_stream = true;
-    } else {
-      snd_nxt_ = meta_.server_isn + 1;
-    }
-    snd_una_ = snd_nxt_;
-    stream_head_ = snd_nxt_;
-    head_seqs_.insert(snd_nxt_);  // the first response starts the stream
+FlowMimic::FlowMimic(const FlowMeta& meta, const AnalyzerConfig& config)
+    : meta_(meta), config_(config), rto_(config.rto) {
+  if (meta_.mid_stream) {
+    // No handshake in the capture: seed sequence state from the first
+    // server data packet and remember that this "stream head" is
+    // synthetic — it is where the *capture* starts, not necessarily
+    // where a response starts.
+    snd_nxt_ = meta_.first_server_data_seq;
+    out_.capture.mid_stream = true;
+  } else {
+    snd_nxt_ = meta_.server_isn + 1;
   }
+  snd_una_ = snd_nxt_;
+  stream_head_ = snd_nxt_;
+  head_seqs_.push_back(snd_nxt_);  // the first response starts the stream
+}
 
-  void run(FlowAnalysis& out);
-
- private:
-  /// The one packet accessor the mimic uses: packet i lowered to a
-  /// PacketView with its timestamp floored to config ts_quantum (identity
-  /// when the quantum is off). Keeping this the single ingest point is what
-  /// makes the quantization-invariance guarantee structural rather than
-  /// per-site.
-  PacketView pkt(std::size_t i) const {
-    const net::CapturedPacket& cp = packets_[i];
-    return {floor_to(cp.timestamp, config_.ts_quantum),
-            cp.tcp.seq,
-            cp.tcp.ack,
-            cp.payload_len,
-            cp.tcp.window,
-            cp.tcp.flags,
-            cp.key == meta_.server_to_client,
-            cp.tcp.sack_blocks.span(),
-            cp.truncated};
-  }
-
-  SegMimic* find_seg(net::Seq32 seq);
-  bool is_capture_dup(const PacketView& a, const PacketView& b) const;
-  std::uint32_t packets_out() const;
-  std::uint32_t in_flight() const;
-  void mark_lost_by_sack();
-  void process_server_packet(const PacketView& p, PktAnno& a);
-  void process_client_packet(const PacketView& p, PktAnno& a,
-                             FlowAnalysis& out);
-  void snapshot(PktAnno& a) const;
-  void detect_and_classify(FlowAnalysis& out);
-  StallRecord classify_stall(std::size_t prev_idx, std::size_t cur_idx) const;
-  RetransCause classify_retrans(const PktAnno& prev, const PktAnno& cur,
-                                TimePoint stall_start, bool& f_double) const;
-  net::Seq32 response_end_for(const SegMimic& seg) const;
-
-  const std::span<const net::CapturedPacket> packets_;
-  const FlowMeta& meta_;
-  const AnalyzerConfig& config_;
-  tcp::RtoEstimator rto_;
-
-  std::vector<SegMimic> segs_;
-  std::vector<PktAnno> annos_;
-  // Response start sequences, serial-ordered: per-flow values span far
-  // less than 2^31 bytes, so SeqLess is a strict weak ordering here.
-  std::set<net::Seq32, net::SeqLess> head_seqs_;
-
-  net::Seq32 snd_una_;
-  net::Seq32 snd_nxt_;
-  net::Seq32 stream_head_;  // initial snd_nxt_ (synthetic when mid-stream)
-  std::size_t first_unacked_idx_ = 0;  // index into segs_ (monotone)
-  CaptureQuality quality_;
-
-  tcp::CaState state_ = tcp::CaState::kOpen;
-  std::uint32_t cwnd_est_ = 3;
-  std::uint32_t ssthresh_est_ = 0x7fffffff;
-  std::uint32_t cwnd_credit_ = 0;
-  std::uint32_t dupacks_ = 0;
-  net::Seq32 high_seq_est_;
-  std::uint32_t rwnd_scaled_ = 0xffffffff;
-  bool established_ = false;
-  TimePoint synack_ts_;
-  bool saw_synack_ = false;
-  bool handshake_sampled_ = false;
-
-  double rto_sample_sum_us_ = 0.0;
-  std::uint64_t rto_sample_count_ = 0;
-};
+PacketView FlowMimic::view(const net::CapturedPacket& cp) const {
+  // The one ingest point: flooring here, and only here, is what makes the
+  // quantization-invariance guarantee structural rather than per-site.
+  return {floor_to(cp.timestamp, config_.ts_quantum),
+          cp.tcp.seq,
+          cp.tcp.ack,
+          cp.payload_len,
+          cp.tcp.window,
+          cp.tcp.flags,
+          cp.key == meta_.server_to_client,
+          cp.tcp.sack_blocks,
+          cp.truncated};
+}
 
 SegMimic* FlowMimic::find_seg(net::Seq32 seq) {
   // Segments are sorted by start; binary search for the containing one.
@@ -363,12 +225,10 @@ bool FlowMimic::is_capture_dup(const PacketView& a,
   // (same timestamp for mirror ports), so the window separates the two.
   if (a.from_server != b.from_server || a.seq != b.seq || a.ack != b.ack ||
       a.payload != b.payload || a.window != b.window ||
-      !(a.flags == b.flags)) {
+      !(a.flags == b.flags) ||
+      !std::equal(a.sacks.begin(), a.sacks.end(), b.sacks.begin(),
+                  b.sacks.end())) {
     return false;
-  }
-  if (a.sacks.size() != b.sacks.size()) return false;
-  for (std::size_t i = 0; i < a.sacks.size(); ++i) {
-    if (!(a.sacks[i] == b.sacks[i])) return false;
   }
   const Duration d = b.ts >= a.ts ? b.ts - a.ts : a.ts - b.ts;
   return d <= config_.dup_window;
@@ -424,6 +284,16 @@ void FlowMimic::snapshot(PktAnno& a) const {
   a.established = established_;
 }
 
+void FlowMimic::add_segment(net::Seq32 start, net::Seq32 end, TimePoint ts,
+                            bool inferred) {
+  SegMimic seg;
+  seg.start = start;
+  seg.end = end;
+  seg.first_tx = seg.last_tx = ts;
+  seg.inferred = inferred;
+  segs_.push_back(seg);
+}
+
 void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   const std::uint32_t eff_len = p.payload + (p.flags.fin ? 1u : 0u);
   if (p.flags.syn) {
@@ -434,6 +304,7 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   if (eff_len == 0) return;  // pure ACK
 
   a.server_data = true;
+  ++out_.data_segments;
   const net::Seq32 end = p.seq + eff_len;
 
   if (net::at_or_after(p.seq, snd_nxt_)) {
@@ -443,24 +314,13 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
       // drop). Track an inferred segment so ACK/SACK bookkeeping stays
       // consistent; it never yields RTT samples, and a later
       // "retransmission" of it demotes its stall to kUndetermined.
-      SegMimic gap;
-      gap.start = snd_nxt_;
-      gap.end = p.seq;
-      gap.index = segs_.size();
-      gap.tx_times.push_back(p.ts);
-      gap.inferred = true;
-      segs_.push_back(std::move(gap));
-      ++quality_.seq_gaps;
-      quality_.gap_bytes += net::distance(snd_nxt_, p.seq);
+      add_segment(snd_nxt_, p.seq, p.ts, /*inferred=*/true);
+      ++out_.capture.seq_gaps;
+      out_.capture.gap_bytes += net::distance(snd_nxt_, p.seq);
     }
     // New data.
-    SegMimic seg;
-    seg.start = p.seq;
-    seg.end = end;
-    seg.index = segs_.size();
-    seg.tx_times.push_back(p.ts);
-    a.seg_idx = static_cast<int>(seg.index);
-    segs_.push_back(std::move(seg));
+    a.seg_idx = static_cast<int>(segs_.size());
+    add_segment(p.seq, end, p.ts, /*inferred=*/false);
     snd_nxt_ = end;
     return;
   }
@@ -468,23 +328,24 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   // Retransmission — or a late record filling an inferred capture gap.
   SegMimic* seg = find_seg(p.seq);
   if (seg == nullptr) return;  // overlap we cannot attribute
+  a.seg_idx = static_cast<int>(seg - segs_.data());
   if (seg->inferred && seg->start == p.seq && seg->end == end) {
     // Local capture reordering, not a retransmission: the record for
     // exactly these bytes arrived one slot late. Adopt it as the original
     // transmission and un-count the gap.
     seg->inferred = false;
-    seg->tx_times.back() = p.ts;
-    a.seg_idx = static_cast<int>(seg->index);
-    --quality_.seq_gaps;
-    quality_.gap_bytes -= seg->len();
+    seg->last_tx = p.ts;
+    if (seg->tx_count == 1) seg->first_tx = p.ts;
+    --out_.capture.seq_gaps;
+    out_.capture.gap_bytes -= seg->len();
     return;
   }
   a.is_retrans = true;
-  a.seg_idx = static_cast<int>(seg->index);
-  a.prior_retrans = seg->transmissions() - 1;
+  ++out_.retrans_segments;
+  a.prior_retrans = static_cast<int>(seg->tx_count) - 1;
   if (seg->inferred) a.capture_suspect = true;
 
-  const Duration elapsed = p.ts - seg->tx_times.back();
+  const Duration elapsed = p.ts - seg->last_tx;
   const Duration rto_now = rto_.rto();
   bool is_rto;
   if (dupacks_ >= config_.dupthres && elapsed < rto_now) {
@@ -495,12 +356,19 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   a.is_timeout_retrans = is_rto;
   a.first_retrans_was_rto = seg->first_retrans_was_rto;
 
-  if (seg->transmissions() == 1) seg->first_retrans_was_rto = is_rto;
-  seg->tx_times.push_back(p.ts);
+  if (seg->tx_count == 1) seg->first_retrans_was_rto = is_rto;
+  seg->early_max_tx = seg->latest_tx();
+  seg->last_tx = p.ts;
+  if (seg->tx_count != std::numeric_limits<std::uint16_t>::max()) {
+    ++seg->tx_count;
+  }
   seg->retrans_pending = true;
 
   if (is_rto) {
-    seg->rto_retransmitted = true;
+    ++out_.timeout_retrans;
+    // The observed inter-transmission gap IS the timer that fired,
+    // including any exponential backoff.
+    out_.rto_at_timeout_us.push_back(static_cast<double>(elapsed.us()));
     if (state_ != tcp::CaState::kLoss) {
       ssthresh_est_ = std::max<std::uint32_t>(cwnd_est_ / 2, 2);
     }
@@ -514,7 +382,7 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
     }
     seg->lost_est = true;  // keep consistent (it is being retransmitted)
   } else {
-    seg->fast_retransmitted = true;
+    ++out_.fast_retrans;
     seg->lost_est = true;
     if (state_ != tcp::CaState::kRecovery && state_ != tcp::CaState::kLoss) {
       state_ = tcp::CaState::kRecovery;
@@ -524,8 +392,7 @@ void FlowMimic::process_server_packet(const PacketView& p, PktAnno& a) {
   }
 }
 
-void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
-                                      FlowAnalysis& out) {
+void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a) {
   if (p.flags.syn) return;
   if (!established_) established_ = true;
 
@@ -534,16 +401,16 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
     handshake_sampled_ = true;
     const Duration rtt = p.ts - synack_ts_;
     rto_.sample(rtt);
-    out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+    out_.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
   }
 
   rwnd_scaled_ = static_cast<std::uint32_t>(p.window) << meta_.client_wscale;
-  if (rwnd_scaled_ == 0) out.had_zero_rwnd = true;
+  if (rwnd_scaled_ == 0) out_.had_zero_rwnd = true;
 
   if (p.payload > 0) {
     a.is_request = true;
     // The next new server data starts a fresh response.
-    head_seqs_.insert(snd_nxt_);
+    if (head_seqs_.back() != snd_nxt_) head_seqs_.push_back(snd_nxt_);
   }
 
   if (!p.flags.ack) return;
@@ -559,16 +426,15 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
         net::at_or_before(b0.end, p.sacks[1].end);
     if (below_ack || inside_second) {
       if (SegMimic* seg = find_seg(b0.start)) {
-        if (!seg->dsacked && seg->transmissions() > 1) {
+        if (!seg->dsacked && seg->tx_count > 1) {
           seg->dsacked = true;
-          ++out.spurious_retrans;
+          ++out_.spurious_retrans;
         }
       }
     }
   }
 
   // SACK application (blocks above snd_una).
-  std::uint32_t newly_sacked = 0;
   for (const auto& b : p.sacks) {
     if (net::at_or_before(b.end, snd_una_)) continue;
     for (std::size_t i = first_unacked_idx_; i < segs_.size(); ++i) {
@@ -580,12 +446,11 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
         s.sacked_time = std::min(s.sacked_time, p.ts);
         s.lost_est = false;
         s.retrans_pending = false;
-        ++newly_sacked;
-        if (s.transmissions() == 1 && !s.inferred) {
+        if (s.tx_count == 1 && !s.inferred) {
           // SACK-time RTT sample, mirroring the sender.
-          const Duration rtt = p.ts - s.tx_times.front();
+          const Duration rtt = p.ts - s.first_tx;
           rto_.sample(rtt);
-          out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+          out_.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
         }
       }
     }
@@ -604,9 +469,9 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
         s.acked = true;
         s.acked_time = p.ts;
         ++n_acked;
-        if (s.transmissions() == 1 && !s.sacked && !s.inferred &&
-            (!have || s.tx_times.front() > newest)) {
-          newest = s.tx_times.front();
+        if (s.tx_count == 1 && !s.sacked && !s.inferred &&
+            (!have || s.first_tx > newest)) {
+          newest = s.first_tx;
           have = true;
         }
       }
@@ -615,7 +480,7 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
     if (have) {
       const Duration rtt = p.ts - newest;
       rto_.sample(rtt);
-      out.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
+      out_.rtt_samples_us.push_back(static_cast<double>(rtt.us()));
     }
     snd_una_ = p.ack;
     dupacks_ = 0;
@@ -672,118 +537,108 @@ void FlowMimic::process_client_packet(const PacketView& p, PktAnno& a,
   }
 
   if (config_.sample_inflight_on_ack) {
-    out.inflight_on_ack.push_back(in_flight());
+    out_.inflight_on_ack.push_back(in_flight());
   }
   rto_sample_sum_us_ += static_cast<double>(rto_.rto().us());
   ++rto_sample_count_;
-  (void)newly_sacked;
 }
 
 net::Seq32 FlowMimic::response_end_for(const SegMimic& seg) const {
-  auto it = head_seqs_.upper_bound(seg.start);
+  const auto it = std::upper_bound(head_seqs_.begin(), head_seqs_.end(),
+                                   seg.start, net::SeqLess{});
   if (it != head_seqs_.end()) return *it;
   return snd_nxt_;  // final: end of everything the server sent
 }
 
-void FlowMimic::run(FlowAnalysis& out) {
-  out.key = meta_.server_to_client;
-  out.init_rwnd_bytes = meta_.init_rwnd_bytes;
-  out.init_rwnd_mss = meta_.mss ? meta_.init_rwnd_bytes / meta_.mss : 0;
-  // At most one sample per client ACK; rtt_samples_us has no tight bound.
-  if (config_.sample_inflight_on_ack) {
-    out.inflight_on_ack.reserve(meta_.client_packets);
-  }
-
-  annos_.resize(packets_.size());
-  for (std::size_t i = 0; i < packets_.size(); ++i) {
-    const PacketView p = pkt(i);
-    PktAnno& a = annos_[i];
-    if (p.truncated) ++quality_.truncated_packets;
-    if (config_.suppress_capture_dups && i > 0 &&
-        is_capture_dup(pkt(i - 1), p)) {
-      // Capture duplicate (mirror port / dual tap): the stack saw this
-      // packet once. Carry the previous packet's state snapshot forward
-      // without re-processing, so the copy adds no data, retransmission,
-      // or request accounting.
-      a = annos_[i - 1];
-      a.server_data = false;
-      a.is_retrans = false;
-      a.is_timeout_retrans = false;
-      a.is_request = false;
-      a.seg_idx = -1;
-      a.capture_suspect = false;
-      ++quality_.dup_packets;
-      continue;
-    }
+void FlowMimic::push(const net::CapturedPacket& cp) {
+  const PacketView p = view(cp);
+  PktAnno a;
+  if (p.truncated) ++out_.capture.truncated_packets;
+  if (config_.suppress_capture_dups && n_packets_ > 0 &&
+      is_capture_dup(prev_view_, p)) {
+    // Capture duplicate (mirror port / dual tap): the stack saw this
+    // packet once. Carry the previous packet's state snapshot forward
+    // without re-processing, so the copy adds no data, retransmission,
+    // or request accounting.
+    a = prev_anno_;
+    a.server_data = false;
+    a.is_retrans = false;
+    a.is_timeout_retrans = false;
+    a.is_request = false;
+    a.seg_idx = -1;
+    a.capture_suspect = false;
+    ++out_.capture.dup_packets;
+  } else {
     if (p.from_server) {
       process_server_packet(p, a);
-      if (a.server_data) {
-        ++out.data_segments;
-        if (a.is_retrans) {
-          ++out.retrans_segments;
-          if (a.is_timeout_retrans) {
-            ++out.timeout_retrans;
-            // The observed inter-transmission gap IS the timer that fired,
-            // including any exponential backoff.
-            const auto& seg = segs_[static_cast<std::size_t>(a.seg_idx)];
-            const auto n = seg.tx_times.size();
-            const Duration fired =
-                seg.tx_times[n - 1] - seg.tx_times[n - 2];
-            out.rto_at_timeout_us.push_back(static_cast<double>(fired.us()));
-          } else {
-            ++out.fast_retrans;
-          }
-        }
-      }
     } else {
-      process_client_packet(p, a, out);
+      process_client_packet(p, a);
     }
-    snapshot(a);
-    // The packet-specific fields were filled before snapshot; snapshot only
-    // fills the state fields.
+    snapshot(a);  // the state fields; the packet-specific ones are filled
   }
 
+  // Stall detection: the gap since the previous packet against that
+  // packet's min(tau*SRTT, RTO). Only the two annotations around a gap
+  // that qualifies are kept.
+  if (n_packets_ == 0) {
+    first_ts_ = p.ts;
+  } else if (prev_anno_.established && prev_anno_.has_srtt &&
+             p.ts - last_ts_ > std::min(prev_anno_.srtt * config_.tau,
+                                        prev_anno_.rto)) {
+    candidates_.push_back({prev_anno_, a, last_ts_, p.ts, n_packets_});
+  }
+  prev_anno_ = a;
+  last_ts_ = p.ts;
+  if (config_.suppress_capture_dups) prev_view_ = p;
+  ++n_packets_;
+}
+
+FlowAnalysis FlowMimic::finish() {
+  FlowAnalysis& out = out_;
+  out.key = meta_.server_to_client;
+  // The first data-phase window, or the SYN's when the client never sent
+  // a data-phase ACK.
+  out.init_rwnd_bytes =
+      meta_.init_rwnd_bytes != 0 ? meta_.init_rwnd_bytes : meta_.syn_window;
+  out.init_rwnd_mss = meta_.mss ? out.init_rwnd_bytes / meta_.mss : 0;
+
   // Transfer-level metrics.
-  if (packets_.size() > 0) {
-    out.transmission_time =
-        pkt(packets_.size() - 1).ts - pkt(0).ts;
-  }
+  if (n_packets_ > 0) out.transmission_time = last_ts_ - first_ts_;
   for (const auto& s : segs_) out.unique_bytes += s.len();
-  if (!out.rtt_samples_us.empty()) {
-    double sum = 0;
-    for (double r : out.rtt_samples_us) sum += r;
-    out.avg_rtt_us = sum / static_cast<double>(out.rtt_samples_us.size());
-  }
+  out.avg_rtt_us = mean(out.rtt_samples_us);
+  out.avg_rto_us = mean(out.rto_at_timeout_us);
   if (rto_sample_count_ > 0) {
     out.avg_rto_on_ack_us =
         rto_sample_sum_us_ / static_cast<double>(rto_sample_count_);
   }
-  if (!out.rto_at_timeout_us.empty()) {
-    double sum = 0;
-    for (double r : out.rto_at_timeout_us) sum += r;
-    out.avg_rto_us = sum / static_cast<double>(out.rto_at_timeout_us.size());
-  }
 
-  detect_and_classify(out);
+  out.stalls.reserve(candidates_.size());
+  for (const StallCandidate& c : candidates_) {
+    StallRecord rec = classify_stall(c);
+    if (rec.capture_suspect) ++out.capture.suspect_stalls;
+    out.stalled_time += rec.duration;
+    record_stall(rec);
+    out.stalls.push_back(rec);
+  }
+  if (out.transmission_time > Duration::zero()) {
+    out.stall_ratio = out.stalled_time / out.transmission_time;
+  }
 
   // Capture quality: drop-rate estimate + deterministic confidence score.
+  CaptureQuality& q = out.capture;
   if (out.unique_bytes > 0) {
-    quality_.est_drop_rate =
-        std::min(1.0, static_cast<double>(quality_.gap_bytes) /
-                          static_cast<double>(out.unique_bytes));
+    q.est_drop_rate = std::min(1.0, static_cast<double>(q.gap_bytes) /
+                                        static_cast<double>(out.unique_bytes));
   }
-  quality_.confidence = (1.0 - quality_.est_drop_rate) *
-                        (quality_.mid_stream ? 0.5 : 1.0) *
-                        (quality_.truncated_packets > 0 ? 0.9 : 1.0);
-  out.capture = quality_;
-  record_capture_quality(quality_);
+  q.confidence = (1.0 - q.est_drop_rate) * (q.mid_stream ? 0.5 : 1.0) *
+                 (q.truncated_packets > 0 ? 0.9 : 1.0);
+  record_capture_quality(q);
 
   // Average speed over the *active* data phase: first payload transmission
   // to flow end, minus stalled time — i.e. the transfer rate the service
   // delivers while actually moving data.
-  if (!segs_.empty() && packets_.size() > 0) {
-    const Duration data_phase =
-        pkt(packets_.size() - 1).ts - segs_.front().tx_times.front();
+  if (!segs_.empty()) {
+    const Duration data_phase = last_ts_ - segs_.front().first_tx;
     // Stalls that straddle the start of the data phase (e.g. a back-end
     // fetch ending in the first data packet) can push `active` to zero;
     // fall back to the raw data-phase rate then.
@@ -793,42 +648,30 @@ void FlowMimic::run(FlowAnalysis& out) {
       out.avg_speed_Bps = static_cast<double>(out.unique_bytes) / active.sec();
     }
   }
+  return std::move(out_);
 }
 
-void FlowMimic::detect_and_classify(FlowAnalysis& out) {
-  if (packets_.size() == 0) return;
-  TimePoint prev_ts = pkt(0).ts;
-  for (std::size_t i = 0; i + 1 < packets_.size(); ++i) {
-    const TimePoint cur_ts = pkt(i + 1).ts;
-    const Duration gap = cur_ts - prev_ts;
-    prev_ts = cur_ts;
-    const PktAnno& prev = annos_[i];
-    if (!prev.established || !prev.has_srtt) continue;
-    const Duration thresh = std::min(prev.srtt * config_.tau, prev.rto);
-    if (gap <= thresh) continue;
-
-    StallRecord rec = classify_stall(i, i + 1);
-    if (rec.capture_suspect) ++quality_.suspect_stalls;
-    out.stalled_time += rec.duration;
-    record_stall(rec);
-    out.stalls.push_back(rec);
-  }
-  if (out.transmission_time > Duration::zero()) {
-    out.stall_ratio = out.stalled_time / out.transmission_time;
-  }
+std::size_t FlowMimic::capacity_bytes(bool after_push) const {
+  // One packet adds at most a gap segment and a segment, one candidate,
+  // one response head, and one sample of each kind (a SACK covering many
+  // segments can add more RTT samples; the charge after the push catches
+  // those up).
+  const std::size_t k = after_push ? 1 : 0;
+  return bytes(segs_, 2 * k) + bytes(candidates_, k) + bytes(head_seqs_, k) +
+         bytes(out_.rtt_samples_us, k) + bytes(out_.rto_at_timeout_us, k) +
+         bytes(out_.inflight_on_ack, k);
 }
 
-StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
-                                      std::size_t cur_idx) const {
-  const PktAnno& prev = annos_[prev_idx];
-  const PktAnno& cur = annos_[cur_idx];
+StallRecord FlowMimic::classify_stall(const StallCandidate& c) const {
+  const PktAnno& prev = c.prev;
+  const PktAnno& cur = c.cur;
   StallRecord rec;
-  rec.start = pkt(prev_idx).ts;
-  rec.end = pkt(cur_idx).ts;
+  rec.start = c.start;
+  rec.end = c.end;
   rec.duration = rec.end - rec.start;
   rec.state_at_stall = prev.state;
   rec.in_flight = prev.in_flight;
-  rec.cur_pkt_index = cur_idx;
+  rec.cur_pkt_index = c.cur_pkt_index;
   if (cur.seg_idx >= 0 && !segs_.empty()) {
     rec.rel_position = static_cast<double>(cur.seg_idx) /
                        static_cast<double>(segs_.size());
@@ -871,10 +714,11 @@ StallRecord FlowMimic::classify_stall(std::size_t prev_idx,
     // (seg_idx can be -1 for malformed traces where a transmission below
     // snd_nxt matches no tracked segment — those fall through.)
     const SegMimic& seg = segs_[static_cast<std::size_t>(cur.seg_idx)];
-    rec.cause = head_seqs_.count(seg.start)
+    rec.cause = std::binary_search(head_seqs_.begin(), head_seqs_.end(),
+                                   seg.start, net::SeqLess{})
                     ? StallCause::kDataUnavailable
                     : StallCause::kResourceConstraint;
-    if (rec.cause == StallCause::kDataUnavailable && quality_.mid_stream &&
+    if (rec.cause == StallCause::kDataUnavailable && out_.capture.mid_stream &&
         seg.start == stream_head_) {
       // The stream head is synthetic (mid-stream capture seed), not an
       // observed request boundary — a back-end fetch cannot be asserted.
@@ -939,17 +783,11 @@ RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
   std::uint32_t outstanding = 0;
   bool all_lost = true;
   for (const auto& s : segs_) {
-    if (s.tx_times.front() > stall_start) continue;   // sent after the stall
+    if (s.first_tx > stall_start) continue;           // sent after the stall
     if (s.acked_time <= stall_start) continue;        // already acked
     if (s.sacked_time <= stall_start) continue;       // already sacked
     ++outstanding;
-    bool retransmitted_after = false;
-    for (const TimePoint t : s.tx_times) {
-      if (t > stall_start) {
-        retransmitted_after = true;
-        break;
-      }
-    }
+    const bool retransmitted_after = s.latest_tx() > stall_start;
     const bool never_delivered = s.acked_time == TimePoint::max() &&
                                  s.sacked_time == TimePoint::max();
     if (!retransmitted_after && !never_delivered) {
@@ -967,25 +805,23 @@ RetransCause FlowMimic::classify_retrans(const PktAnno& prev,
   return RetransCause::kUndetermined;
 }
 
-}  // namespace
-
 Analyzer::Analyzer(AnalyzerConfig config) : config_(config) {
   config_.validate();
 }
 
 FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
-  FlowAnalysis out;
   FlowMimic mimic(view, config_);
-  mimic.run(out);
-  return out;
+  for (const net::CapturedPacket& cp : view.packets) mimic.push(cp);
+  return mimic.finish();
 }
 
 AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
                                  const DemuxOptions& demux) const {
   // Batch over the streaming engine: every packet goes through an
   // unbounded LiveAnalyzer (no timeouts, no caps — nothing finalizes until
-  // flush, so every flow is analyzed whole), then first-packet flow order,
-  // which the LRU-driven flush does not preserve, is restored.
+  // flush, so every flow is analyzed whole and each connection has exactly
+  // one entry). Entries are numbered densely in creation order, so each
+  // analysis lands at its first-packet position without a sort.
   LiveConfig live_config;
   live_config.with_analyzer(config_)
       .with_demux(demux)
@@ -995,19 +831,16 @@ AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
       .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max());
 
   AnalysisResult result;
+  const LiveAnalyzer* live_ptr = nullptr;
   LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
-      [&result](FlowAnalysis&& fa) { result.flows.push_back(std::move(fa)); }));
-  std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
-  for (const net::CapturedPacket& pkt : trace.packets()) {
-    first_seen.try_emplace(pkt.key.canonical(), first_seen.size());
-    live.add_packet(pkt);
-  }
+      [&result, &live_ptr](FlowAnalysis&& fa) {
+        const std::size_t at = live_ptr->delivering_flow_ordinal();
+        if (at >= result.flows.size()) result.flows.resize(at + 1);
+        result.flows[at] = std::move(fa);
+      }));
+  live_ptr = &live;
+  for (const net::CapturedPacket& pkt : trace.packets()) live.add_packet(pkt);
   live.flush();
-  std::stable_sort(result.flows.begin(), result.flows.end(),
-                   [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
-                     return first_seen.at(a.key.canonical()) <
-                            first_seen.at(b.key.canonical());
-                   });
   return result;
 }
 

@@ -8,9 +8,11 @@
 // root cause with the Fig.-5 decision tree, sub-classifying timeout-
 // retransmission stalls in the Table-5 precedence order.
 //
-// Unlike the live sender, the analyzer sees the whole trace, so it refines
-// lost_out with DSACK evidence (spurious retransmissions) and can resolve
-// the loss-vs-delay ambiguity retrospectively (§3.3).
+// Steps (1) and (2) are one push fold (FlowMimic::push) that keeps no
+// packet history. Step (3) runs at FlowMimic::finish against the final
+// segment state, its only look-ahead: it refines lost_out with DSACK
+// evidence (spurious retransmissions) and resolves the loss-vs-delay
+// ambiguity retrospectively (§3.3).
 #pragma once
 
 #include <array>
@@ -148,6 +150,17 @@ struct FlowAnalysis {
   CaptureQuality capture;
 };
 
+/// Applies `set` to a copy of `cfg`, validates the copy and commits it: a
+/// fluent config setter either succeeds or throws std::invalid_argument
+/// and leaves the config unchanged.
+template <typename Config, typename Set>
+Config& set_validated(Config& cfg, Set set) {
+  Config next = cfg;
+  set(next);
+  next.validate();
+  return cfg = next;
+}
+
 struct AnalyzerConfig {
   /// Stall threshold multiplier: gap > min(tau*SRTT, RTO).
   double tau = 2.0;
@@ -182,9 +195,9 @@ struct AnalyzerConfig {
   /// boundaries and RTT samples are only accurate to +-q.
   Duration ts_quantum = Duration::zero();
 
-  // Fluent construction (aggregate-init keeps working); each setter
-  // validates eagerly and throws std::invalid_argument on a value the
-  // classifier cannot run with, mirroring ExperimentConfig::with_*.
+  // Fluent construction (aggregate-init keeps working); each checked
+  // setter validates the result eagerly (set_validated) and throws
+  // std::invalid_argument on a value the classifier cannot run with.
   AnalyzerConfig& with_tau(double t);                    // > 0
   AnalyzerConfig& with_dupthres(std::uint32_t n);        // > 0
   AnalyzerConfig& with_small_inflight(std::uint32_t n);  // > 0
@@ -202,6 +215,175 @@ struct AnalyzerConfig {
   void validate() const;
 };
 
+/// Per-segment state reconstructed by the mimic. Segments persist for the
+/// whole flow (never popped): their final state is the classifier's
+/// look-ahead. Transmission times are kept inline — first, last, and the
+/// latest of those before the last — which answers every question the
+/// classifier asks of them without a per-segment heap vector.
+struct SegMimic {
+  net::Seq32 start;
+  net::Seq32 end;
+  TimePoint first_tx;
+  TimePoint last_tx;
+  TimePoint early_max_tx;  // latest transmission before last_tx (tx_count > 1)
+  TimePoint acked_time = TimePoint::max();
+  TimePoint sacked_time = TimePoint::max();
+  /// Transmissions, saturating: only "one" and "more than one" are read.
+  std::uint16_t tx_count = 1;
+  bool first_retrans_was_rto : 1 = false;
+  bool dsacked : 1 = false;
+  /// Synthesized for a server-side sequence gap: the capture never recorded
+  /// the original transmission of these bytes. Never yields RTT samples;
+  /// "retransmissions" of it demote their stall to kUndetermined.
+  bool inferred : 1 = false;
+  // Live flags during the fold (scoreboard mirror).
+  bool acked : 1 = false;
+  bool sacked : 1 = false;
+  bool lost_est : 1 = false;
+  bool retrans_pending : 1 = false;
+
+  std::uint32_t len() const { return net::distance(start, end); }
+  TimePoint latest_tx() const {
+    return tx_count > 1 && early_max_tx > last_tx ? early_max_tx : last_tx;
+  }
+};
+static_assert(sizeof(SegMimic) <= 56,
+              "per-flow memory is O(segments): keep a segment under a line");
+
+/// Mimic state right after one packet: what the stall detector and the
+/// classifier read about the packets on either side of a gap.
+struct PktAnno {
+  tcp::CaState state = tcp::CaState::kOpen;
+  std::uint32_t in_flight = 0;
+  std::uint32_t outstanding = 0;  // packets_out
+  std::uint32_t cwnd_est = 0;
+  std::uint32_t rwnd_scaled = 0;
+  bool has_srtt = false;
+  Duration srtt;
+  Duration rto;
+  bool established = false;
+
+  bool server_data = false;
+  bool is_retrans = false;
+  bool is_timeout_retrans = false;
+  int prior_retrans = 0;
+  bool first_retrans_was_rto = false;
+  int seg_idx = -1;
+  bool is_request = false;
+  /// This packet's evidence overlaps a capture artifact (retransmission of
+  /// an inferred gap segment): cause classification cannot be trusted.
+  bool capture_suspect = false;
+};
+
+/// The one packet shape the mimic understands: a CapturedPacket lowered to
+/// the fields the mimic reads, with the timestamp floored to the config's
+/// ts_quantum and direction resolved against the flow's orientation key.
+/// Self-contained (SACK blocks by value), so the previous packet's view
+/// can be kept for the capture-duplicate check.
+struct PacketView {
+  TimePoint ts;
+  net::Seq32 seq;
+  net::Seq32 ack;
+  std::uint32_t payload = 0;
+  std::uint16_t window = 0;
+  net::TcpFlags flags;
+  bool from_server = false;
+  net::SackList sacks;
+  bool truncated = false;  // snaplen cut this record's options
+};
+
+/// A gap longer than the threshold: the annotations on either side of it,
+/// kept until the flow finishes and the classifier can look ahead.
+struct StallCandidate {
+  PktAnno prev;
+  PktAnno cur;
+  TimePoint start;
+  TimePoint end;
+  std::size_t cur_pkt_index = 0;
+};
+
+/// The TCP-stack mimic and stall classifier over one flow, fed one packet
+/// at a time in capture order. Memory is O(segments + stall candidates):
+/// no packet is kept once it has been folded.
+class FlowMimic {
+ public:
+  /// `meta` must carry the orientation and the sequence seed (server ISN,
+  /// or first_server_data_seq when mid_stream). `config` must outlive the
+  /// mimic.
+  FlowMimic(const FlowMeta& meta, const AnalyzerConfig& config);
+
+  /// The flow meta. A caller that learns it packet by packet (the live
+  /// table) folds each packet into it before pushing that packet.
+  FlowMeta& meta() { return meta_; }
+
+  /// Folds one packet, in capture order.
+  void push(const net::CapturedPacket& cp);
+
+  /// Classifies the stall candidates against the final segment state and
+  /// hands over the flow's analysis. Call once, after the last push.
+  FlowAnalysis finish();
+
+  /// Heap bytes the mimic holds (segments, stall candidates, response
+  /// heads and the per-ACK samples), by capacity — or will hold after one
+  /// more push, so a ledger can charge the growth before it happens.
+  std::size_t capacity_bytes(bool after_push = false) const;
+
+ private:
+  PacketView view(const net::CapturedPacket& cp) const;
+  SegMimic* find_seg(net::Seq32 seq);
+  bool is_capture_dup(const PacketView& a, const PacketView& b) const;
+  std::uint32_t packets_out() const;
+  std::uint32_t in_flight() const;
+  void mark_lost_by_sack();
+  void add_segment(net::Seq32 start, net::Seq32 end, TimePoint ts,
+                   bool inferred);
+  void process_server_packet(const PacketView& p, PktAnno& a);
+  void process_client_packet(const PacketView& p, PktAnno& a);
+  void snapshot(PktAnno& a) const;
+  StallRecord classify_stall(const StallCandidate& c) const;
+  RetransCause classify_retrans(const PktAnno& prev, const PktAnno& cur,
+                                TimePoint stall_start, bool& f_double) const;
+  net::Seq32 response_end_for(const SegMimic& seg) const;
+
+  FlowMeta meta_;
+  const AnalyzerConfig& config_;
+  tcp::RtoEstimator rto_;
+  FlowAnalysis out_;
+
+  std::vector<SegMimic> segs_;
+  std::vector<StallCandidate> candidates_;
+  // Response start sequences, in serial order: each is the snd_nxt_ of its
+  // request, and snd_nxt_ only grows. Per-flow values span far less than
+  // 2^31 bytes, so serial order is a strict weak ordering here.
+  std::vector<net::Seq32> head_seqs_;
+
+  std::size_t n_packets_ = 0;
+  TimePoint first_ts_;
+  TimePoint last_ts_;
+  PktAnno prev_anno_;
+  PacketView prev_view_;  // kept only for the capture-duplicate check
+
+  net::Seq32 snd_una_;
+  net::Seq32 snd_nxt_;
+  net::Seq32 stream_head_;  // initial snd_nxt_ (synthetic when mid-stream)
+  std::size_t first_unacked_idx_ = 0;  // index into segs_ (monotone)
+
+  tcp::CaState state_ = tcp::CaState::kOpen;
+  std::uint32_t cwnd_est_ = 3;
+  std::uint32_t ssthresh_est_ = 0x7fffffff;
+  std::uint32_t cwnd_credit_ = 0;
+  std::uint32_t dupacks_ = 0;
+  net::Seq32 high_seq_est_;
+  std::uint32_t rwnd_scaled_ = 0xffffffff;
+  bool established_ = false;
+  TimePoint synack_ts_;
+  bool saw_synack_ = false;
+  bool handshake_sampled_ = false;
+
+  double rto_sample_sum_us_ = 0.0;
+  std::uint64_t rto_sample_count_ = 0;
+};
+
 struct AnalysisResult {
   std::vector<FlowAnalysis> flows;
 };
@@ -211,16 +393,14 @@ class Analyzer {
   /// Validates the config (std::invalid_argument on out-of-range fields).
   explicit Analyzer(AnalyzerConfig config = {});
 
-  /// Runs the mimic/classifier over one flow, reading its packets in place
-  /// from the arena the view borrows (zero-copy).
+  /// Pushes every packet of the view through one FlowMimic seeded with the
+  /// view's whole-flow meta, then finishes it.
   FlowAnalysis analyze_flow(const FlowView& view) const;
 
-  /// Batch entry point, now a veneer over the streaming engine: every
-  /// packet is fed through an unbounded LiveAnalyzer (one engine for the
-  /// offline and live paths) and the finalized flows are returned in
-  /// first-packet order — exactly the order the old multi-pass batch
-  /// demux produced. The live flow table is the only demux; each flow's
-  /// arena is oriented with make_flow_view and analyzed in place.
+  /// Batch entry point, a veneer over the streaming engine: every packet
+  /// is fed through an unbounded LiveAnalyzer (one engine for the offline
+  /// and live paths) and the finalized flows are returned in first-packet
+  /// order, the order in which the live table created their entries.
   AnalysisResult analyze(const net::PacketTrace& trace,
                          const DemuxOptions& demux = {}) const;
 

@@ -3,9 +3,15 @@
 namespace tapo::analysis {
 namespace {
 
-// Folds one packet's header facts into the flow meta. Orientation-only:
-// the caller decides from_server.
-void fold_meta(FlowMeta& m, const net::CapturedPacket& cp, bool from_server) {
+// The server->client key under a pinned server port.
+net::FlowKey server_by_port(const net::FlowKey& canon, std::uint16_t port) {
+  return canon.src_port == port ? canon : canon.reversed();
+}
+
+}  // namespace
+
+void fold_meta(FlowMeta& m, const net::CapturedPacket& cp) {
+  const bool from_server = cp.key == m.server_to_client;
   const net::TcpHeader& tcp = cp.tcp;
   if (tcp.flags.syn && !tcp.flags.ack && !from_server) {
     m.saw_syn = true;
@@ -34,7 +40,12 @@ void fold_meta(FlowMeta& m, const net::CapturedPacket& cp, bool from_server) {
   }
 }
 
-}  // namespace
+bool settles_orientation(const net::CapturedPacket& cp,
+                         const DemuxOptions& opts) {
+  if (!cp.tcp.flags.syn || !cp.tcp.flags.ack) return false;
+  return opts.server_port == 0 ||
+         cp.key == server_by_port(cp.key.canonical(), opts.server_port);
+}
 
 DemuxOptions& DemuxOptions::with_server_port(std::uint16_t port) {
   server_port = port;
@@ -47,38 +58,26 @@ FlowView make_flow_view(std::span<const net::CapturedPacket> packets,
   view.packets = packets;
   if (packets.empty()) return view;
 
-  // Pass 1: orientation evidence per endpoint, keyed by "is the packet's
-  // src the canonical key's src".
+  // Pass 1: orientation evidence — the first SYN-ACK's sender, and the
+  // payload per endpoint, keyed by "is the packet's src the canonical
+  // key's src".
   const net::FlowKey canon = packets.front().key.canonical();
+  const net::CapturedPacket* synack = nullptr;
   std::uint64_t payload_a = 0, payload_b = 0;
-  std::size_t packets_a = 0;
-  bool synack_from_a = false, synack_from_b = false;
   for (const net::CapturedPacket& cp : packets) {
-    const bool synack = cp.tcp.flags.syn && cp.tcp.flags.ack;
-    if (cp.key == canon) {
-      ++packets_a;
-      payload_a += cp.payload_len;
-      synack_from_a |= synack;
-    } else {
-      payload_b += cp.payload_len;
-      synack_from_b |= synack;
-    }
+    if (synack == nullptr && settles_orientation(cp, opts)) synack = &cp;
+    (cp.key == canon ? payload_a : payload_b) += cp.payload_len;
   }
-  bool server_is_a;
   if (opts.server_port != 0) {
-    server_is_a = canon.src_port == opts.server_port;
-  } else if (synack_from_a != synack_from_b) {
-    server_is_a = synack_from_a;
+    view.server_to_client = server_by_port(canon, opts.server_port);
+  } else if (synack != nullptr) {
+    view.server_to_client = synack->key;
   } else {
-    server_is_a = payload_a >= payload_b;
+    view.server_to_client = payload_a >= payload_b ? canon : canon.reversed();
   }
-  view.server_to_client = server_is_a ? canon : canon.reversed();
-  view.client_packets = server_is_a ? packets.size() - packets_a : packets_a;
 
   // Pass 2: the handshake/transfer meta.
-  for (const net::CapturedPacket& cp : packets) {
-    fold_meta(view, cp, cp.key == view.server_to_client);
-  }
+  for (const net::CapturedPacket& cp : packets) fold_meta(view, cp);
   if (view.init_rwnd_bytes == 0) view.init_rwnd_bytes = view.syn_window;
   view.mid_stream = !view.saw_syn && !view.saw_synack && view.saw_server_data;
   return view;

@@ -9,9 +9,7 @@
 namespace tapo::analysis {
 
 LiveConfig& LiveConfig::with_analyzer(const AnalyzerConfig& a) {
-  a.validate();
-  analyzer = a;
-  return *this;
+  return set_validated(*this, [&a](LiveConfig& c) { c.analyzer = a; });
 }
 
 LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
@@ -20,40 +18,20 @@ LiveConfig& LiveConfig::with_demux(const DemuxOptions& d) {
 }
 
 LiveConfig& LiveConfig::with_idle_timeout(Duration d) {
-  if (d <= Duration::zero()) {
-    throw std::invalid_argument(
-        "LiveConfig: idle_timeout must be > 0 (flows would finalize on "
-        "every packet)");
-  }
-  idle_timeout = d;
-  return *this;
+  return set_validated(*this, [d](LiveConfig& c) { c.idle_timeout = d; });
 }
 
 LiveConfig& LiveConfig::with_fin_linger(Duration d) {
-  if (d < Duration::zero()) {
-    throw std::invalid_argument("LiveConfig: fin_linger must be >= 0");
-  }
-  fin_linger = d;
-  return *this;
+  return set_validated(*this, [d](LiveConfig& c) { c.fin_linger = d; });
 }
 
 LiveConfig& LiveConfig::with_max_flows(std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument(
-        "LiveConfig: max_flows must be > 0 (the table could hold nothing)");
-  }
-  max_flows = n;
-  return *this;
+  return set_validated(*this, [n](LiveConfig& c) { c.max_flows = n; });
 }
 
 LiveConfig& LiveConfig::with_max_packets_per_flow(std::size_t n) {
-  if (n <= 1) {
-    throw std::invalid_argument(
-        "LiveConfig: max_packets_per_flow must be > 1 (every flow would be "
-        "truncated on arrival)");
-  }
-  max_packets_per_flow = n;
-  return *this;
+  return set_validated(*this,
+                       [n](LiveConfig& c) { c.max_packets_per_flow = n; });
 }
 
 LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
@@ -64,17 +42,21 @@ LiveConfig& LiveConfig::with_mem_budget(util::MemoryBudget* b) {
 void LiveConfig::validate() const {
   analyzer.validate();
   if (idle_timeout <= Duration::zero()) {
-    throw std::invalid_argument("LiveConfig: idle_timeout must be > 0");
+    throw std::invalid_argument(
+        "LiveConfig: idle_timeout must be > 0 (flows would finalize on "
+        "every packet)");
   }
   if (fin_linger < Duration::zero()) {
     throw std::invalid_argument("LiveConfig: fin_linger must be >= 0");
   }
   if (max_flows == 0) {
-    throw std::invalid_argument("LiveConfig: max_flows must be > 0");
+    throw std::invalid_argument(
+        "LiveConfig: max_flows must be > 0 (the table could hold nothing)");
   }
   if (max_packets_per_flow <= 1) {
     throw std::invalid_argument(
-        "LiveConfig: max_packets_per_flow must be > 1");
+        "LiveConfig: max_packets_per_flow must be > 1 (every flow would be "
+        "truncated on arrival)");
   }
 }
 
@@ -112,6 +94,44 @@ LiveAnalyzer::LiveAnalyzer(LiveConfig config, FlowSink& sink)
   config_.validate();
 }
 
+LiveAnalyzer::FlowTable::iterator LiveAnalyzer::start_entry(
+    const net::FlowKey& key) {
+  const auto it = flows_.try_emplace(key).first;
+  it->second.ordinal = next_entry_ordinal_++;
+  lru_.push_back(key);
+  it->second.lru_it = std::prev(lru_.end());
+  return it;
+}
+
+void LiveAnalyzer::ingest(Entry& entry, const net::CapturedPacket& pkt) {
+  ++entry.packets;
+  if (entry.mimic) {
+    fold_meta(entry.mimic->meta(), pkt);
+    entry.mimic->push(pkt);
+    return;
+  }
+  if (!settles_orientation(pkt, config_.demux)) {
+    entry.pending.add(pkt);
+    ++stats_.pending_packets;
+    return;
+  }
+  // The SYN-ACK's sender is the server: fold the meta of everything seen so
+  // far, seed the mimic from it, replay the pending packets and free them.
+  FlowMeta meta;
+  meta.server_to_client = pkt.key;
+  for (const net::CapturedPacket& cp : entry.pending.packets()) {
+    fold_meta(meta, cp);
+  }
+  fold_meta(meta, pkt);
+  entry.mimic.emplace(meta, analyzer_.config());
+  for (const net::CapturedPacket& cp : entry.pending.packets()) {
+    entry.mimic->push(cp);
+  }
+  entry.mimic->push(pkt);
+  stats_.pending_packets -= entry.pending.size();
+  entry.pending = net::PacketTrace{};
+}
+
 void LiveAnalyzer::finalize(const net::FlowKey& key) {
   auto it = flows_.find(key);
   if (it == flows_.end()) return;
@@ -120,27 +140,25 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   flows_.erase(it);
   ++stats_.flows_finalized;
   TAPO_TRACE(telemetry::EventKind::kFlowFinalize,
-             entry.last_activity.us(), entry.trace.size(), flows_.size());
+             entry.last_activity.us(), entry.packets, flows_.size());
   count_flow_event("finalize");
   set_active_flows(flows_.size());
-  if (!entry.trace.empty()) {
-    // The one analysis engine: this table already demuxed the connection,
-    // so orient its arena and run the per-flow kernel in place.
-    // Analyzer::analyze is a wrapper over *this* class, so calling it here
-    // would recurse.
-    FlowAnalysis fa = analyzer_.analyze_flow(
-        make_flow_view(entry.trace.packets(), config_.demux));
-    if (on_flow_done_) {
-      on_flow_done_(std::move(fa));
-    } else if (sink_ != nullptr) {
-      FlowResult fr;
-      fr.index = sink_ordinal_++;
-      fr.packets = entry.trace.size();
-      fr.analyses.push_back(std::move(fa));
-      sink_->consume(std::move(fr));
-    }
+  stats_.pending_packets -= entry.pending.size();
+  // A flow that never settled is oriented now, over all its packets, and
+  // goes through the same push fold.
+  FlowAnalysis fa = entry.mimic ? entry.mimic->finish()
+                                : analyzer_.analyze_flow(make_flow_view(
+                                      entry.pending.packets(), config_.demux));
+  delivering_ordinal_ = entry.ordinal;
+  if (on_flow_done_) {
+    on_flow_done_(std::move(fa));
+  } else if (sink_ != nullptr) {
+    FlowResult fr;
+    fr.index = sink_ordinal_++;
+    fr.packets = entry.packets;
+    fr.analyses.push_back(std::move(fa));
+    sink_->consume(std::move(fr));
   }
-  // Release only after analysis: the arena was live until here.
   if (config_.mem_budget != nullptr && entry.charged_bytes != 0) {
     config_.mem_budget->release(entry.charged_bytes);
     stats_.flow_bytes -= entry.charged_bytes;
@@ -150,32 +168,29 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
 
 void LiveAnalyzer::recharge(Entry& entry) {
   if (config_.mem_budget == nullptr) return;
-  const std::size_t want = entry.trace.capacity_bytes() + kFlowOverheadBytes;
+  const std::size_t want =
+      entry.pending.capacity_bytes() +
+      (entry.mimic ? entry.mimic->capacity_bytes() : 0) + kFlowOverheadBytes;
   if (want > entry.charged_bytes) {
     config_.mem_budget->charge(want - entry.charged_bytes);
-    stats_.flow_bytes += want - entry.charged_bytes;
-    entry.charged_bytes = want;
+  } else {
+    config_.mem_budget->release(entry.charged_bytes - want);
   }
-}
-
-std::size_t LiveAnalyzer::charge_after_append(const Entry& entry) const {
-  return entry.trace.capacity_bytes_after_append() + kFlowOverheadBytes;
+  stats_.flow_bytes = stats_.flow_bytes - entry.charged_bytes + want;
+  entry.charged_bytes = want;
 }
 
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
-  // the finalize-time transient (the mimic's per-packet and per-segment
-  // state), which lives outside the ledger and scales with the flow being
-  // analyzed. This is what keeps the allocator-measured process peak, not
-  // just the ledger, under the cap (bench/streaming_scale gates exactly
-  // that).
+  // what lives outside the ledger (allocator slack, a never-settled flow's
+  // orientation pass, the analyses handed to the callback). This is what
+  // keeps the allocator-measured process peak, not just the ledger, under
+  // the cap (bench/streaming_scale gates exactly that).
   return config_.mem_budget->limit() / 2;
 }
 
 std::size_t LiveAnalyzer::max_flow_bytes() const {
-  // The finalize transient runs up to about twice the flow's arena (1.75x
-  // measured on a full 1024-slot arena), so a flow capped at a quarter of
-  // the cap keeps it inside the headroom above soft_limit().
+  // One flow may hold at most half the soft limit.
   return config_.mem_budget->limit() / 4;
 }
 
@@ -229,25 +244,28 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
   ++stats_.packets;
   const net::FlowKey key = pkt.key.canonical();
 
-  auto [it, inserted] = flows_.try_emplace(key);
-  if (inserted) {
+  auto it = flows_.find(key);
+  if (it == flows_.end()) {
     ++stats_.flows_started;
-    lru_.push_back(key);
-    it->second.lru_it = std::prev(lru_.end());
+    it = start_entry(key);
   } else {
     // Move to the back of the LRU: relinks the node, so `lru_it` stays
     // valid and nothing is freed or allocated.
     lru_.splice(lru_.end(), lru_, it->second.lru_it);
   }
 
-  // Make room for the projected arena growth BEFORE add() allocates it —
+  // Make room for the projected growth BEFORE ingest() allocates it —
   // evicting afterwards could not undo the peak. Other entries may be
   // finalized here; unordered_map erasure leaves `it` valid, and `key`
   // itself (just moved to the LRU back) is pinned.
   if (config_.mem_budget != nullptr && !config_.mem_budget->unlimited()) {
-    const std::size_t want = charge_after_append(it->second);
-    if (want > it->second.charged_bytes) {
-      const std::size_t delta = want - it->second.charged_bytes;
+    const Entry& e = it->second;
+    const std::size_t want =
+        (e.mimic ? e.mimic->capacity_bytes(/*after_push=*/true)
+                 : e.pending.capacity_bytes_after_append()) +
+        kFlowOverheadBytes;
+    if (want > e.charged_bytes) {
+      const std::size_t delta = want - e.charged_bytes;
       const bool outgrows = want > max_flow_bytes();
       if (!outgrows) evict_for(delta, &key);
       // Past the per-flow cap, or still no room with every other flow
@@ -256,28 +274,26 @@ void LiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
       // max_packets_per_flow truncation path.
       if ((outgrows ||
            config_.mem_budget->resident() + delta > soft_limit()) &&
-          !it->second.trace.empty()) {
+          e.packets != 0) {
         ++stats_.budget_evictions;
         count_flow_event("budget");
         finalize(key);  // invalidates `it`
-        it = flows_.try_emplace(key).first;
-        lru_.push_back(key);
-        it->second.lru_it = std::prev(lru_.end());
+        it = start_entry(key);
       }
     }
   }
 
   Entry& entry = it->second;
-  entry.trace.add(pkt);
+  ingest(entry, pkt);
   entry.last_activity = pkt.timestamp;
   if (pkt.tcp.flags.fin) entry.fin_seen = true;
   recharge(entry);
 
-  if (entry.trace.size() >= config_.max_packets_per_flow) {
+  if (entry.packets >= config_.max_packets_per_flow) {
     // Long-lived elephant: analyze what we have and restart the window.
     ++stats_.truncated_flows;
     TAPO_TRACE(telemetry::EventKind::kFlowTruncate, pkt.timestamp.us(),
-               entry.trace.size(), flows_.size());
+               entry.packets, flows_.size());
     count_flow_event("truncate");
     finalize(key);
   }
@@ -310,54 +326,6 @@ void LiveAnalyzer::flush() {
     rs.threads = 1;
     sink_->finish(rs);
   }
-}
-
-// ------------------------------------------------- SharedLiveAnalyzer
-
-LiveConfig SharedLiveAnalyzer::rebind(LiveConfig config,
-                                      util::MemoryBudget* owned) {
-  if (config.mem_budget != nullptr) config.with_mem_budget(owned);
-  return config;
-}
-
-SharedLiveAnalyzer::SharedLiveAnalyzer(const LiveConfig& config,
-                                       FlowDoneFn on_flow_done)
-    : budget_(config.mem_budget != nullptr ? config.mem_budget->limit() : 0),
-      live_(rebind(config, &budget_), std::move(on_flow_done)) {}
-
-SharedLiveAnalyzer::SharedLiveAnalyzer(const LiveConfig& config,
-                                       FlowSink& sink)
-    : budget_(config.mem_budget != nullptr ? config.mem_budget->limit() : 0),
-      live_(rebind(config, &budget_), sink) {}
-
-void SharedLiveAnalyzer::add_packet(const net::CapturedPacket& pkt) {
-  util::MutexLock lock(mu_);
-  live_.add_packet(pkt);
-}
-
-void SharedLiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
-  util::MutexLock lock(mu_);
-  live_.add_chunk(chunk);
-}
-
-void SharedLiveAnalyzer::flush() {
-  util::MutexLock lock(mu_);
-  live_.flush();
-}
-
-LiveStats SharedLiveAnalyzer::stats() const {
-  util::MutexLock lock(mu_);
-  return live_.stats();
-}
-
-std::size_t SharedLiveAnalyzer::budget_resident() const {
-  util::MutexLock lock(mu_);
-  return budget_.resident();
-}
-
-std::size_t SharedLiveAnalyzer::budget_high_water() const {
-  util::MutexLock lock(mu_);
-  return budget_.high_water();
 }
 
 }  // namespace tapo::analysis

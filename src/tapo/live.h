@@ -8,10 +8,15 @@
 // observed + quiescent) or idles out.
 //
 // Memory bounds: at most `max_flows` concurrent flows (least-recently-
-// active evicted first) and at most `max_packets_per_flow` buffered packets
-// per flow (flows exceeding it are analyzed and restarted, counted in
-// `truncated_flows`). With a util::MemoryBudget attached the bound becomes
-// byte-accurate: every buffered flow charges its arena footprint against
+// active evicted first) and at most `max_packets_per_flow` packets per flow
+// (flows exceeding it are analyzed and restarted, counted in
+// `truncated_flows`). A flow keeps no packets once its orientation is
+// settled: each entry holds a push-based FlowMimic, so its memory is
+// O(segments + stall candidates). Until a SYN-ACK settles orientation and
+// the server ISN, an entry buffers its packets in a small pending trace
+// (for its whole life when no SYN-ACK ever shows: a mid-stream capture or
+// a dropped SYN-ACK). With a util::MemoryBudget attached the bound becomes
+// byte-accurate: every flow charges its mimic and pending bytes against
 // the shared pipeline ledger, and crossing the soft limit finalizes flows
 // from the LRU front instead of letting residency grow toward OOM.
 #pragma once
@@ -19,14 +24,13 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <optional>
 #include <unordered_map>
 
 #include "net/chunk.h"
 #include "tapo/analyzer.h"
 #include "tapo/sink.h"
 #include "util/memory_budget.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace tapo::analysis {
 
@@ -40,19 +44,15 @@ struct LiveConfig {
   std::size_t max_flows = 100'000;
   std::size_t max_packets_per_flow = 200'000;
   /// Optional shared pipeline ledger (non-owning; must outlive the
-  /// analyzer). When set and limited, every buffered flow charges its
-  /// arena footprint plus a fixed per-flow overhead; once residency
-  /// crosses the soft limit (half the cap) the least-recently-active
-  /// flows are analyzed-and-dropped until back under it, and a single
-  /// flow that would grow past a quarter of the cap, or outgrows the
-  /// budget alone, is analyzed-and-restarted like the
+  /// analyzer). When set and limited, every tracked flow charges its
+  /// mimic and pending-packet footprint plus a fixed per-flow overhead;
+  /// once residency crosses the soft limit (half the cap) the
+  /// least-recently-active flows are analyzed-and-dropped until back under
+  /// it, and a single flow that would grow past a quarter of the cap, or
+  /// outgrows the budget alone, is analyzed-and-restarted like the
   /// max_packets_per_flow truncation path. An evicted flow that keeps
   /// sending restarts mid-stream, which the classifier already surfaces
-  /// as capture-suspect rather than inventing a stall cause. The
-  /// half-budget headroom keeps the *peak* (which includes the
-  /// finalize-time transient of the flow being analyzed, bounded by the
-  /// per-flow quarter) under the configured cap, not just the steady
-  /// state.
+  /// as capture-suspect rather than inventing a stall cause.
   util::MemoryBudget* mem_budget = nullptr;
 
   // Fluent construction (aggregate-init keeps working); setters validate
@@ -84,6 +84,8 @@ struct LiveStats {
   /// Bytes currently charged by this analyzer's flow table (subset of the
   /// shared budget's resident() when other stages charge the same ledger).
   std::size_t flow_bytes = 0;
+  /// Packets currently held by flows whose orientation has not settled.
+  std::size_t pending_packets = 0;
 };
 
 class LiveAnalyzer {
@@ -93,6 +95,9 @@ class LiveAnalyzer {
   using FlowDoneFn = std::function<void(FlowAnalysis&&)>;
 
   explicit LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done);
+  // Pinned: every flow's mimic refers to this analyzer's config.
+  LiveAnalyzer(const LiveAnalyzer&) = delete;
+  LiveAnalyzer& operator=(const LiveAnalyzer&) = delete;
 
   /// Streams finalized flows into a tapo::FlowSink — the same delivery API
   /// the parallel experiment runner uses, so one sink implementation (an
@@ -107,10 +112,9 @@ class LiveAnalyzer {
   /// the packet's timestamp drives idle-timeout bookkeeping.
   void add_packet(const net::CapturedPacket& pkt);
 
-  /// Feeds every packet of a chunk (the StreamingReader hand-off).
-  /// The chunk stays owned by the caller; its packets are copied into the
-  /// per-flow arenas, so the caller should drop the chunk right after —
-  /// holding both doubles residency.
+  /// Feeds every packet of a chunk (the StreamingReader hand-off). The
+  /// chunk stays owned by the caller; no packet of it is kept past this
+  /// call except in the pending trace of a not-yet-settled flow.
   void add_chunk(const net::TraceChunk& chunk);
 
   /// Finalizes every remaining flow (end of capture / shutdown). With a
@@ -119,27 +123,43 @@ class LiveAnalyzer {
 
   const LiveStats& stats() const { return stats_; }
 
+  /// Within a delivery (on_flow_done or the sink's consume): the creation
+  /// ordinal of the entry being finalized. Entries are numbered 0, 1, ...
+  /// as they are created, so an unbounded run, where each connection has
+  /// one entry, numbers its flows in first-packet order.
+  std::size_t delivering_flow_ordinal() const { return delivering_ordinal_; }
+
  private:
   struct Entry {
-    net::PacketTrace trace;
+    /// Packets held until a SYN-ACK settles the orientation; a flow that
+    /// never shows one keeps them all.
+    net::PacketTrace pending;
+    std::optional<FlowMimic> mimic;  // engaged once orientation settled
+    std::size_t packets = 0;
+    std::size_t ordinal = 0;  // creation order among all entries
     TimePoint last_activity;
     std::size_t charged_bytes = 0;  // what this flow holds in the budget
     bool fin_seen = false;
     std::list<net::FlowKey>::iterator lru_it;
   };
+  using FlowTable = std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash>;
 
-  /// Ledger charge per tracked flow beyond its packet arena (hash-table
-  /// slot, LRU node, Entry bookkeeping). A coarse constant: the point is
-  /// that a million tiny flows still register, not byte-exact malloc math.
+  /// Ledger charge per tracked flow beyond its mimic and pending packets
+  /// (hash-table slot, LRU node, Entry bookkeeping). A coarse constant: the
+  /// point is that a million tiny flows still register, not byte-exact
+  /// malloc math.
   static constexpr std::size_t kFlowOverheadBytes = 512;
 
+  /// Creates `key`'s entry at the LRU back.
+  FlowTable::iterator start_entry(const net::FlowKey& key);
+  /// Folds one packet into `entry`: into its mimic once settled, else into
+  /// the pending trace, settling on a SYN-ACK.
+  void ingest(Entry& entry, const net::CapturedPacket& pkt);
   void finalize(const net::FlowKey& key);
   void reap(TimePoint now);
-  /// Re-syncs `entry`'s budget charge with its current arena capacity.
+  /// Re-syncs `entry`'s budget charge with what it holds now (a settled
+  /// flow frees its pending trace, so the charge can fall).
   void recharge(Entry& entry);
-  /// Ledger bytes `entry` will hold after one more append, so eviction can
-  /// run BEFORE the allocation that would overshoot the cap.
-  std::size_t charge_after_append(const Entry& entry) const;
   /// Eviction threshold: half the cap (see LiveConfig::mem_budget).
   std::size_t soft_limit() const;
   /// Largest ledger charge one flow may grow to: a quarter of the cap.
@@ -156,59 +176,14 @@ class LiveAnalyzer {
   FlowDoneFn on_flow_done_;
   FlowSink* sink_ = nullptr;        // optional streaming delivery target
   std::size_t sink_ordinal_ = 0;    // FlowResult::index for the next flow
+  std::size_t next_entry_ordinal_ = 0;
+  std::size_t delivering_ordinal_ = 0;
   Analyzer analyzer_;
 
-  std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash> flows_;
+  FlowTable flows_;
   /// LRU order: front = least recently active.
   std::list<net::FlowKey> lru_;
   LiveStats stats_;
-};
-
-/// Thread-safe facade over LiveAnalyzer for multi-threaded capture: N
-/// ingest threads call add_packet()/add_chunk() concurrently while another
-/// thread polls stats(), all serialized by one annotated util::Mutex
-/// capability. LiveAnalyzer itself (and util::MemoryBudget, its ledger)
-/// stays deliberately single-threaded — one pipeline, one thread — so the
-/// facade owns a private MemoryBudget and rebinds the config's ledger
-/// pointer to it, making the budget's every charge/release/evict decision
-/// happen under the same capability as the flow table it bounds
-/// (TAPO_GUARDED_BY below is the compile-time form of that contract).
-///
-/// Callback caveat: on_flow_done / sink callbacks fire while the lock is
-/// held (finalization happens inside ingest). They must not call back into
-/// the same SharedLiveAnalyzer — the annotated API makes that re-entrance
-/// a -Wthread-safety error in any code path the analysis can see.
-class SharedLiveAnalyzer {
- public:
-  using FlowDoneFn = LiveAnalyzer::FlowDoneFn;
-
-  /// Both constructors mirror LiveAnalyzer's. When `config.mem_budget` is
-  /// set, only its *limit* is taken: the facade charges an owned ledger
-  /// instead, so an external (unguarded) MemoryBudget is never shared
-  /// across the ingest threads.
-  SharedLiveAnalyzer(const LiveConfig& config, FlowDoneFn on_flow_done);
-  SharedLiveAnalyzer(const LiveConfig& config, FlowSink& sink);
-
-  void add_packet(const net::CapturedPacket& pkt) TAPO_EXCLUDES(mu_);
-  void add_chunk(const net::TraceChunk& chunk) TAPO_EXCLUDES(mu_);
-  /// Finalizes every remaining flow; call once, after ingest threads join.
-  void flush() TAPO_EXCLUDES(mu_);
-
-  /// Snapshot by value (the underlying stats mutate under the lock).
-  LiveStats stats() const TAPO_EXCLUDES(mu_);
-  /// Owned ledger readings (0 / high-water when no budget was configured).
-  std::size_t budget_resident() const TAPO_EXCLUDES(mu_);
-  std::size_t budget_high_water() const TAPO_EXCLUDES(mu_);
-
- private:
-  /// Returns `config` with its ledger pointer rebound to `owned` (when a
-  /// budget was configured at all). Static so constructor member-init can
-  /// use it without touching guarded members outside the ctor exemption.
-  static LiveConfig rebind(LiveConfig config, util::MemoryBudget* owned);
-
-  mutable util::Mutex mu_;
-  util::MemoryBudget budget_ TAPO_GUARDED_BY(mu_);
-  LiveAnalyzer live_ TAPO_GUARDED_BY(mu_);
 };
 
 }  // namespace tapo::analysis

@@ -173,7 +173,6 @@ class TcpSender {
   std::uint32_t send_window_segments() const;
   bool can_send_new() const;
   void enter_recovery();
-  void enter_loss();
   void maybe_complete_recovery();
   void rearm_timer();
   void rearm_timer_impl();

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -664,6 +665,158 @@ TEST(BudgetEnforcement, UnlimitedBudgetChangesNothing) {
   EXPECT_GT(budget.high_water(), 0u);
   EXPECT_EQ(budget.resident(), 0u);
   expect_same_result(streamed, batch);
+}
+
+// ---------------------------------------------------------------------------
+// The push-based live entry: a flow's footprint is its segments and stall
+// candidates, and packets are buffered only until a SYN-ACK settles the
+// flow's orientation.
+// ---------------------------------------------------------------------------
+
+/// One simulated flow's server-NIC capture.
+net::PacketTrace one_flow(const workload::ServiceProfile& profile,
+                          std::uint64_t seed, std::uint64_t index) {
+  Rng flow_rng(seed);
+  const auto scenario = workload::draw_scenario(profile, flow_rng, index);
+  auto outcome =
+      workload::run_flow(scenario, flow_rng.split(), Duration::seconds(600.0),
+                         workload::TraceCapture::kServerNic);
+  return std::move(*outcome.trace);
+}
+
+/// Feeds `packets` through an unbounded LiveAnalyzer and returns the one
+/// flow it finalizes; `after_each` sees the stats after every packet.
+template <typename AfterEach>
+FlowAnalysis live_one_flow(std::span<const net::CapturedPacket> packets,
+                           util::MemoryBudget* budget, AfterEach after_each) {
+  std::vector<FlowAnalysis> done;
+  LiveAnalyzer live(LiveConfig{}.with_mem_budget(budget),
+                    [&done](FlowAnalysis&& fa) { done.push_back(fa); });
+  for (const net::CapturedPacket& p : packets) {
+    live.add_packet(p);
+    after_each(live.stats());
+  }
+  live.flush();
+  EXPECT_EQ(live.stats().pending_packets, 0u);
+  EXPECT_EQ(done.size(), 1u);
+  return done.empty() ? FlowAnalysis{} : std::move(done.front());
+}
+
+TEST(StreamingMimic, LedgerChargeIsPerSegmentNotPerPacket) {
+  // A bulk cloud-storage flow: holding its packets would charge at least
+  // sizeof(CapturedPacket) = 104 B each; the mimic holds segments only.
+  net::PacketTrace trace;
+  for (std::uint64_t i = 0; i < 40 && trace.size() < 2000; ++i) {
+    trace = one_flow(workload::cloud_storage_profile(), 2015 + i, i);
+  }
+  ASSERT_GE(trace.size(), 2000u);
+  util::MemoryBudget budget;  // unlimited: tracked, never enforced
+  std::size_t peak_pending = 0;
+  const FlowAnalysis fa = live_one_flow(
+      trace.packets(), &budget, [&peak_pending](const LiveStats& s) {
+        peak_pending = std::max(peak_pending, s.pending_packets);
+      });
+  EXPECT_GT(fa.data_segments, 1000u);
+  EXPECT_LE(peak_pending, 1u) << "only the SYN waits for the SYN-ACK";
+  const double per_packet = static_cast<double>(budget.high_water()) /
+                            static_cast<double>(trace.size());
+  EXPECT_LT(per_packet, 96.0) << "ledger high-water " << budget.high_water()
+                              << " B over " << trace.size() << " packets";
+  EXPECT_EQ(budget.resident(), 0u);
+}
+
+TEST(StreamingMimic, SynAckAfterClientPacketsSettlesAndMatchesWholeFlow) {
+  // Capture reordering puts the client's SYN and first ACK ahead of the
+  // SYN-ACK: those two wait, the SYN-ACK settles the flow, and the result
+  // equals the analysis of the whole flow oriented at once.
+  net::PacketTrace base = one_flow(workload::web_search_profile(), 41, 3);
+  ASSERT_GT(base.size(), 4u);
+  ASSERT_TRUE(base[1].tcp.flags.syn && base[1].tcp.flags.ack);
+  ASSERT_FALSE(base[2].tcp.flags.syn);
+  net::PacketTrace trace;
+  trace.add(base[0]);
+  trace.add(base[2]);
+  trace.add(base[1]);
+  for (std::size_t i = 3; i < base.size(); ++i) trace.add(base[i]);
+
+  std::vector<std::size_t> pending;
+  const FlowAnalysis live = live_one_flow(
+      trace.packets(), nullptr,
+      [&pending](const LiveStats& s) { pending.push_back(s.pending_packets); });
+  ASSERT_GE(pending.size(), 3u);
+  EXPECT_EQ(pending[0], 1u);
+  EXPECT_EQ(pending[1], 2u);
+  EXPECT_EQ(*std::max_element(pending.begin(), pending.end()), 2u);
+  EXPECT_EQ(pending[2], 0u) << "the SYN-ACK settles the flow";
+  expect_same_analysis(
+      live, Analyzer{}.analyze_flow(make_flow_view(trace.packets())));
+}
+
+TEST(StreamingMimic, MidStreamFlowSettlesOnlyAtFinalize) {
+  // A rotated capture without the handshake never shows a SYN-ACK: the
+  // entry keeps its packets and is oriented by payload at finalize, with
+  // the mid-stream capture-quality verdict and no stall invented at the
+  // synthetic stream head.
+  const net::PacketTrace pristine =
+      one_flow(workload::software_download_profile(), 2015, 1);
+  const net::PacketTrace rotated = sim::apply_impairments(
+      pristine, sim::CaptureImpairments{}.with_mid_stream_start(3));
+  ASSERT_GT(rotated.size(), 10u);
+  std::size_t last_pending = 0;
+  const FlowAnalysis fa = live_one_flow(
+      rotated.packets(), nullptr,
+      [&last_pending](const LiveStats& s) { last_pending = s.pending_packets; });
+  EXPECT_EQ(last_pending, rotated.size()) << "never settled before flush";
+  expect_same_analysis(
+      fa, Analyzer{}.analyze_flow(make_flow_view(rotated.packets())));
+  EXPECT_TRUE(fa.capture.mid_stream);
+  EXPECT_TRUE(fa.capture.degraded());
+  EXPECT_EQ(fa.capture.seq_gaps, 0u);
+  EXPECT_DOUBLE_EQ(fa.capture.confidence, 0.5);
+  const auto data_unavailable = [](const FlowAnalysis& a) {
+    return std::count_if(a.stalls.begin(), a.stalls.end(),
+                         [](const StallRecord& s) {
+                           return s.cause == StallCause::kDataUnavailable;
+                         });
+  };
+  const FlowAnalysis whole = Analyzer{}.analyze(pristine).flows.at(0);
+  EXPECT_LE(data_unavailable(fa), data_unavailable(whole));
+  for (const StallRecord& s : fa.stalls) {
+    EXPECT_GE(s.start, rotated[0].timestamp);
+    EXPECT_LE(s.end, rotated[rotated.size() - 1].timestamp);
+  }
+}
+
+TEST(StreamingMimic, FirstSynAckSenderIsTheServer) {
+  // SYN-ACKs from both endpoints (a simultaneous open, or a confused
+  // middlebox): the first SYN-ACK's sender is the server, even though the
+  // other endpoint sends a SYN-ACK later and more payload.
+  const net::FlowKey a_to_b{10, 20, 1111, 2222};
+  const auto pkt = [](std::int64_t us, const net::FlowKey& key, bool syn,
+                      std::uint32_t seq, std::uint32_t payload) {
+    net::CapturedPacket p;
+    p.timestamp = TimePoint::from_us(us);
+    p.key = key;
+    p.tcp.flags.syn = syn;
+    p.tcp.flags.ack = true;
+    p.tcp.seq = net::Seq32{seq};
+    p.payload_len = payload;
+    return p;
+  };
+  net::PacketTrace trace;
+  trace.add(pkt(1, a_to_b.reversed(), true, 500, 0));  // B's SYN-ACK first
+  trace.add(pkt(2, a_to_b, true, 900, 0));             // then A's
+  trace.add(pkt(3, a_to_b, false, 901, 4000));
+  trace.add(pkt(4, a_to_b.reversed(), false, 501, 100));
+  EXPECT_EQ(make_flow_view(trace.packets()).server_to_client,
+            a_to_b.reversed());
+  const FlowAnalysis fa =
+      live_one_flow(trace.packets(), nullptr, [](const LiveStats& s) {
+        EXPECT_EQ(s.pending_packets, 0u);
+      });
+  EXPECT_EQ(fa.key, a_to_b.reversed());
+  EXPECT_EQ(fa.data_segments, 1u);  // B's 100 bytes; A's are client data
+  EXPECT_EQ(fa.unique_bytes, 100u);
 }
 
 }  // namespace

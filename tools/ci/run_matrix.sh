@@ -15,8 +15,8 @@
 #   tsan     -fsanitize=thread, full ctest (includes the runner_parallel_tsan
 #            and telemetry_tsan race-check entries), then an explicit
 #            `concurrency`-labeled pass: the annotated-mutex API tests and
-#            the Registry/SharedLiveAnalyzer/FleetAggregator lock-contention
-#            stress suites race-checked under TSan
+#            the Registry/FleetAggregator lock-contention stress suites
+#            race-checked under TSan
 #   thread-safety  Clang-only static gate: builds with clang++ and
 #            -DTAPO_THREAD_SAFETY=ON (-Wthread-safety -Werror=thread-safety
 #            over the TAPO_* capability annotations, plus the configure-time
@@ -33,9 +33,9 @@
 #            ASan), the fleet_scale merge-determinism harness, and the
 #            tapo_agg emit -> merge -> prometheus-validate smoke chain
 #   streaming  -fsanitize=address, `streaming`-labeled tests only: the
-#            chunked-vs-batch bit-equivalence suites plus the
-#            streaming_scale peak-residency gate, so the chunk-lifetime
-#            and budget-eviction paths run under ASan
+#            chunked-vs-batch bit-equivalence suites, the streaming_scale
+#            peak-residency gate and the pcap_analyze --demo golden check,
+#            so the chunk-lifetime and budget-eviction paths run under ASan
 #   chaos    `chaos`-labeled tests under BOTH -fsanitize=address and
 #            -fsanitize=undefined: the chaos-engine gate suites
 #            (tests/chaos_test.cc) and the differential storm harness
