@@ -80,10 +80,10 @@ std::uint64_t storm_seed(std::uint64_t base, std::size_t svc,
 }
 
 /// One seeded scenario instance under one recovery mode.
-workload::FlowOutcome run_one(workload::Service svc,
-                              tcp::RecoveryMechanism mode,
-                              const sim::ChaosScenario& sc,
-                              std::uint64_t seed) {
+tapo::FlowOutcome run_one(workload::Service svc,
+                          tcp::RecoveryMechanism mode,
+                          const sim::ChaosScenario& sc,
+                          std::uint64_t seed) {
   const workload::ServiceProfile profile = workload::profile_for(svc);
   Rng rng(seed);
   workload::FlowScenario scenario =
@@ -124,7 +124,7 @@ void replay_command(const sim::ChaosScenario& sc, std::uint64_t seed) {
 
 /// Full-detail verdict line for replay mode.
 void print_detail(workload::Service svc, tcp::RecoveryMechanism mode,
-                  const workload::FlowOutcome& out) {
+                  const tapo::FlowOutcome& out) {
   const auto& d = out.delivery;
   std::printf(
       "  %-18s %-6s  status=%-12s violations=%" PRIu64 " injected=%" PRIu64

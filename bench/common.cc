@@ -167,7 +167,7 @@ void write_telemetry_artifacts() {
               static_cast<unsigned long long>(tracer.dropped()));
 }
 
-void print_perf(const std::string& label, const workload::RunStats& stats) {
+void print_perf(const std::string& label, const tapo::RunStats& stats) {
   std::printf(
       "[perf] %-17s %6zu flows  %7.2fs wall  %8.1f flows/s  "
       "threads=%zu util=%.0f%%  (worker s: gen %.2f | sim %.2f | analyze "

@@ -64,7 +64,7 @@ constexpr std::uint64_t kBenchSeed = 2015;  // CoNEXT '15
 struct ServiceRun {
   workload::Service service;
   workload::ExperimentResult result;
-  workload::RunStats perf;
+  tapo::RunStats perf;
 };
 
 /// Runs all three services with the calibrated profiles on bench_threads()
@@ -75,7 +75,7 @@ std::vector<ServiceRun> run_all_services(std::size_t flows,
 
 /// Prints "[perf] ..." — wall clock, throughput, per-phase worker time and
 /// utilization for one run.
-void print_perf(const std::string& label, const workload::RunStats& stats);
+void print_perf(const std::string& label, const tapo::RunStats& stats);
 
 /// Prints the standard bench banner.
 void print_banner(const std::string& title, const std::string& paper_ref,

@@ -55,9 +55,9 @@ struct QualityTotals {
 
 /// One FlowResult per flow, in index order: records the stall-cause
 /// histogram and the capture-quality totals, nothing else retained.
-class StabilitySink : public workload::FlowSink {
+class StabilitySink : public tapo::FlowSink {
  public:
-  void consume(workload::FlowResult&& result) override {
+  void consume(tapo::FlowResult&& result) override {
     CauseCounts counts{};
     for (const auto& fa : result.analyses) {
       for (const auto& s : fa.stalls) {

@@ -227,12 +227,13 @@ int main(int argc, char** argv) {
     pcap::StreamingReader reader(
         pcap_path.string(),
         pcap::StreamingOptions{.chunk_packets = 4096, .budget = &budget});
-    analysis::LiveAnalyzer live(
-        unbounded_live_config(&budget),
-        analysis::LiveAnalyzer::FlowDoneFn(
-            [&stream_flows](const analysis::FlowAnalysis&) {
-              ++stream_flows;
-            }));
+    struct CountingSink : FlowSink {
+      std::size_t flows = 0;
+      void consume(FlowResult&& result) override {
+        flows += result.analyses.size();
+      }
+    } counter;
+    analysis::LiveAnalyzer live(unbounded_live_config(&budget), counter);
     while (auto chunk = reader.next_chunk()) {
       live.add_chunk(*chunk);  // chunk dies each iteration: no double-hold
     }
@@ -240,6 +241,7 @@ int main(int argc, char** argv) {
     stream_secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
+    stream_flows = counter.flows;
     stream_packets = live.stats().packets;
     evictions = live.stats().budget_evictions;
   }

@@ -9,16 +9,20 @@
 //
 // The capture may come from tcpdump (Ethernet, raw-IP and loopback
 // linktypes are supported) or from this library's own simulator.
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "pcap/pcap.h"
-#include "tapo/csv.h"
-#include "tapo/live.h"
 #include "stats/table.h"
 #include "tapo/analyzer.h"
+#include "tapo/csv.h"
+#include "tapo/live.h"
 #include "tapo/report.h"
 #include "util/env.h"
 #include "util/strings.h"
@@ -63,6 +67,92 @@ std::string make_demo(const std::string& path) {
   return path;
 }
 
+/// Whole-token parse of a finite positive number: "nan", "2x" and "-1"
+/// are rejected rather than read as far as they parse.
+std::optional<double> parse_positive(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || !(v > 0.0)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// Everything pcap_analyze does with a finalized flow: print its report
+/// (unless --summary), fold it into the aggregate tables and write its CSV
+/// rows. Nothing is kept per flow, so a --live or budgeted run stays
+/// bounded however long the capture is.
+class ReportSink : public FlowSink {
+ public:
+  ReportSink(bool print_flows, std::ostream* flows_csv,
+             std::ostream* stalls_csv)
+      : print_flows_(print_flows) {
+    if (flows_csv != nullptr) csv_.emplace(*flows_csv, stalls_csv);
+  }
+
+  void consume(FlowResult&& result) override {
+    for (const analysis::FlowAnalysis& fa : result.analyses) {
+      if (print_flows_) {
+        std::printf("%s\n", analysis::describe_flow(fa).c_str());
+      }
+      stalls_.add(fa);
+      retrans_.add(fa);
+      summary_.add(fa);
+    }
+    if (csv_) csv_->consume(std::move(result));
+  }
+
+  void finish(const RunStats& stats) override {
+    if (csv_) csv_->finish(stats);
+  }
+
+  /// The aggregate summaries, in Table 3 / Table 5 form.
+  void print_aggregate() const;
+
+ private:
+  bool print_flows_;
+  std::optional<analysis::CsvSink> csv_;
+  analysis::StallBreakdown stalls_;
+  analysis::RetransBreakdown retrans_;
+  analysis::ServiceSummary summary_;
+};
+
+void ReportSink::print_aggregate() const {
+  std::printf("== aggregate ==\n");
+  std::printf("flows=%llu avg_speed=%s/s pkt_loss=%s avg_rtt=%s avg_rto=%s\n",
+              static_cast<unsigned long long>(summary_.flows),
+              human_bytes(summary_.avg_speed_Bps).c_str(),
+              pct(summary_.pkt_loss).c_str(),
+              human_us(summary_.avg_rtt_us).c_str(),
+              human_us(summary_.avg_rto_us).c_str());
+  std::printf("stalls: %llu total, %.1fs stalled time\n",
+              static_cast<unsigned long long>(stalls_.total_count),
+              stalls_.total_time.sec());
+
+  stats::Table t("\nstall causes (volume / time):");
+  t.set_header({"cause", "volume", "time"});
+  for (std::size_t c = 0; c < analysis::kNumStallCauses; ++c) {
+    const auto cause = static_cast<analysis::StallCause>(c);
+    if (stalls_.by_cause[c].count == 0) continue;
+    t.add_row({analysis::to_string(cause), pct(stalls_.volume_fraction(cause)),
+               pct(stalls_.time_fraction(cause))});
+  }
+  std::printf("%s", t.render().c_str());
+
+  if (retrans_.total_count > 0) {
+    stats::Table rt("\ntimeout-retransmission stall causes (volume / time):");
+    rt.set_header({"cause", "volume", "time"});
+    for (std::size_t c = 0; c < analysis::kNumRetransCauses; ++c) {
+      const auto cause = static_cast<analysis::RetransCause>(c);
+      if (retrans_.by_cause[c].count == 0) continue;
+      rt.add_row({analysis::to_string(cause),
+                  pct(retrans_.volume_fraction(cause)),
+                  pct(retrans_.time_fraction(cause))});
+    }
+    std::printf("%s", rt.render().c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,12 +183,12 @@ int main(int argc, char** argv) {
       }
       demux.with_server_port(static_cast<std::uint16_t>(*port));
     } else if (arg == "--tau" && i + 1 < argc) {
-      const double tau = std::atof(argv[++i]);
-      if (tau <= 0.0) {
+      const auto tau = parse_positive(argv[++i]);
+      if (!tau) {
         std::fprintf(stderr, "error: --tau must be a positive number\n");
         return 1;
       }
-      config.with_tau(tau);
+      config.with_tau(*tau);
     } else if (arg == "--summary") {
       summary_only = true;
     } else if (arg == "--csv" && i + 1 < argc) {
@@ -126,15 +216,40 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Two ingest paths, one analysis engine. A budgeted or --live run pulls
-  // chunks from the streaming reader, hands each straight to the live
-  // analyzer and drops it (bounded residency, files larger than RAM are
-  // fine); the plain batch run reads the whole file into one trace and
-  // analyzes it with the same engine — bit-identical output either way.
+  // Two ingest paths, one analysis engine, one output path. A budgeted or
+  // --live run pulls chunks from the streaming reader, hands each straight
+  // to the live analyzer and drops it; each flow goes to the report sink as
+  // it finalizes (bounded residency, files larger than RAM are fine). The
+  // plain batch run reads the whole file into one trace, analyzes it with
+  // the same engine and feeds the flows, in first-packet order, through the
+  // same sink. The counts header follows the flow reports in --live mode,
+  // where it is known only at the end.
   util::MemoryBudget budget(mem_budget);
   if (mem_budget != 0) live_mode = true;
-  analysis::AnalysisResult result;
+  std::ofstream flows_csv, stalls_csv;
+  std::optional<ReportSink> sink;
+  // Opens the CSV outputs, once the input has opened (a bad capture leaves
+  // no empty CSVs behind), and builds the report sink on them.
+  const auto start_report = [&]() -> ReportSink& {
+    if (!csv_prefix.empty()) {
+      for (auto [out, suffix] : {std::pair{&flows_csv, "_flows.csv"},
+                                 std::pair{&stalls_csv, "_stalls.csv"}}) {
+        out->open(csv_prefix + suffix);
+        if (!*out) {
+          throw std::runtime_error("csv: cannot open " + csv_prefix + suffix);
+        }
+      }
+    }
+    return sink.emplace(!summary_only,
+                        csv_prefix.empty() ? nullptr : &flows_csv,
+                        &stalls_csv);
+  };
   pcap::ReadStats rstats;
+  const auto print_read_stats = [&] {
+    std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
+                path.c_str(), rstats.records, rstats.tcp_packets,
+                rstats.skipped);
+  };
   try {
     if (live_mode) {
       pcap::StreamingReader reader(path, pcap::StreamingOptions{
@@ -143,89 +258,42 @@ int main(int argc, char** argv) {
                                 .with_analyzer(config)
                                 .with_demux(demux)
                                 .with_mem_budget(&budget);
-      analysis::LiveAnalyzer live(
-          live_cfg,
-          [&](analysis::FlowAnalysis&& fa) {
-            result.flows.push_back(std::move(fa));
-          });
+      analysis::LiveAnalyzer live(live_cfg, start_report());
       while (auto chunk = reader.next_chunk()) live.add_chunk(*chunk);
-      rstats = reader.stats();
-      std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
-                  path.c_str(), rstats.records, rstats.tcp_packets,
-                  rstats.skipped);
       live.flush();
-      std::printf("%zu flows finalized (live mode; %llu packets, peak table "
+      rstats = reader.stats();
+      print_read_stats();
+      std::printf("%llu flows finalized (live mode; %llu packets, peak table "
                   "%zu flows, peak resident %zu bytes%s)\n\n",
-                  result.flows.size(),
+                  static_cast<unsigned long long>(live.stats().flows_finalized),
                   static_cast<unsigned long long>(live.stats().packets),
                   live.stats().peak_active_flows, budget.high_water(),
                   mem_budget != 0 ? ", budgeted" : "");
     } else {
       const net::PacketTrace trace = pcap::read_file(path, &rstats);
-      std::printf("%s: %zu records, %zu TCP packets (%zu skipped)\n",
-                  path.c_str(), rstats.records, rstats.tcp_packets,
-                  rstats.skipped);
-      result = analysis::Analyzer(config).analyze(trace, demux);
+      print_read_stats();
+      analysis::AnalysisResult result =
+          analysis::Analyzer(config).analyze(trace, demux);
       std::printf("%zu flows reconstructed\n\n", result.flows.size());
+      ReportSink& report = start_report();
+      for (std::size_t i = 0; i < result.flows.size(); ++i) {
+        FlowResult fr;
+        fr.index = i;
+        fr.analyses.push_back(std::move(result.flows[i]));
+        report.consume(std::move(fr));
+      }
+      RunStats rs;
+      rs.flows = result.flows.size();
+      report.finish(rs);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-
   if (!csv_prefix.empty()) {
-    try {
-      analysis::write_flows_csv_file(csv_prefix + "_flows.csv", result.flows);
-      analysis::write_stalls_csv_file(csv_prefix + "_stalls.csv", result.flows);
-      std::printf("wrote %s_flows.csv and %s_stalls.csv\n\n",
-                  csv_prefix.c_str(), csv_prefix.c_str());
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "error: %s\n", ex.what());
-      return 1;
-    }
+    std::printf("wrote %s_flows.csv and %s_stalls.csv\n\n",
+                csv_prefix.c_str(), csv_prefix.c_str());
   }
-
-  if (!summary_only) {
-    for (const auto& fa : result.flows) {
-      std::printf("%s\n", analysis::describe_flow(fa).c_str());
-    }
-  }
-
-  // Aggregate summaries (Table 3 / Table 5 form).
-  const auto bd = analysis::make_stall_breakdown(result.flows);
-  const auto rbd = analysis::make_retrans_breakdown(result.flows);
-  const auto sum = analysis::make_service_summary(result.flows);
-
-  std::printf("== aggregate ==\n");
-  std::printf("flows=%llu avg_speed=%s/s pkt_loss=%s avg_rtt=%s avg_rto=%s\n",
-              static_cast<unsigned long long>(sum.flows),
-              human_bytes(sum.avg_speed_Bps).c_str(),
-              pct(sum.pkt_loss).c_str(), human_us(sum.avg_rtt_us).c_str(),
-              human_us(sum.avg_rto_us).c_str());
-  std::printf("stalls: %llu total, %.1fs stalled time\n",
-              static_cast<unsigned long long>(bd.total_count),
-              bd.total_time.sec());
-
-  stats::Table t("\nstall causes (volume / time):");
-  t.set_header({"cause", "volume", "time"});
-  for (std::size_t c = 0; c < analysis::kNumStallCauses; ++c) {
-    const auto cause = static_cast<analysis::StallCause>(c);
-    if (bd.by_cause[c].count == 0) continue;
-    t.add_row({analysis::to_string(cause), pct(bd.volume_fraction(cause)),
-               pct(bd.time_fraction(cause))});
-  }
-  std::printf("%s", t.render().c_str());
-
-  if (rbd.total_count > 0) {
-    stats::Table rt("\ntimeout-retransmission stall causes (volume / time):");
-    rt.set_header({"cause", "volume", "time"});
-    for (std::size_t c = 0; c < analysis::kNumRetransCauses; ++c) {
-      const auto cause = static_cast<analysis::RetransCause>(c);
-      if (rbd.by_cause[c].count == 0) continue;
-      rt.add_row({analysis::to_string(cause), pct(rbd.volume_fraction(cause)),
-                  pct(rbd.time_fraction(cause))});
-    }
-    std::printf("%s", rt.render().c_str());
-  }
+  sink->print_aggregate();
   return 0;
 }

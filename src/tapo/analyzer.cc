@@ -815,6 +815,33 @@ FlowAnalysis Analyzer::analyze_flow(const FlowView& view) const {
   return mimic.finish();
 }
 
+namespace {
+
+/// Places each delivered analysis at its entry's creation ordinal.
+class FirstPacketOrderSink : public FlowSink {
+ public:
+  explicit FirstPacketOrderSink(std::vector<FlowAnalysis>& out) : out_(out) {}
+  void bind(const LiveAnalyzer& live) { live_ = &live; }
+
+  void consume(FlowResult&& result) override {
+    const std::size_t at = live_->delivering_flow_ordinal();
+    if (out_.empty() && at == 0) {
+      // A one-connection trace (how the runner analyzes each flow) takes
+      // the delivered vector whole instead of allocating a second one.
+      out_ = std::move(result.analyses);
+      return;
+    }
+    if (at >= out_.size()) out_.resize(at + 1);
+    out_[at] = std::move(result.analyses.front());
+  }
+
+ private:
+  std::vector<FlowAnalysis>& out_;
+  const LiveAnalyzer* live_ = nullptr;
+};
+
+}  // namespace
+
 AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
                                  const DemuxOptions& demux) const {
   // Batch over the streaming engine: every packet goes through an
@@ -831,14 +858,9 @@ AnalysisResult Analyzer::analyze(const net::PacketTrace& trace,
       .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max());
 
   AnalysisResult result;
-  const LiveAnalyzer* live_ptr = nullptr;
-  LiveAnalyzer live(live_config, LiveAnalyzer::FlowDoneFn(
-      [&result, &live_ptr](FlowAnalysis&& fa) {
-        const std::size_t at = live_ptr->delivering_flow_ordinal();
-        if (at >= result.flows.size()) result.flows.resize(at + 1);
-        result.flows[at] = std::move(fa);
-      }));
-  live_ptr = &live;
+  FirstPacketOrderSink sink(result.flows);
+  LiveAnalyzer live(live_config, sink);
+  sink.bind(live);
   for (const net::CapturedPacket& pkt : trace.packets()) live.add_packet(pkt);
   live.flush();
   return result;

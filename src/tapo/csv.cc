@@ -1,8 +1,8 @@
 #include "tapo/csv.h"
 
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "net/ipv4.h"
 #include "util/strings.h"
@@ -24,8 +24,6 @@ constexpr const char* kStallsHeader =
     "flow,start_s,duration_s,cause,retrans_cause,f_double,state,"
     "in_flight,rel_position\n";
 
-// One-row emitters shared by the buffered writers and the streaming
-// CsvSink, so both produce byte-identical rows.
 void write_flow_row(std::ostream& out, std::size_t id,
                     const FlowAnalysis& f) {
   out << id << ',' << endpoint(f.key.src_ip, f.key.src_port) << ','
@@ -59,20 +57,6 @@ void write_stall_rows(std::ostream& out, std::size_t id,
 
 }  // namespace
 
-void write_flows_csv(std::ostream& out,
-                     const std::vector<FlowAnalysis>& flows) {
-  out << kFlowsHeader;
-  std::size_t id = 0;
-  for (const auto& f : flows) write_flow_row(out, id++, f);
-}
-
-void write_stalls_csv(std::ostream& out,
-                      const std::vector<FlowAnalysis>& flows) {
-  out << kStallsHeader;
-  std::size_t id = 0;
-  for (const auto& f : flows) write_stall_rows(out, id++, f);
-}
-
 CsvSink::CsvSink(std::ostream& flows_out, std::ostream* stalls_out)
     : flows_out_(&flows_out), stalls_out_(stalls_out) {
   *flows_out_ << kFlowsHeader;
@@ -90,31 +74,9 @@ void CsvSink::finish(const RunStats& stats) {
   (void)stats;
   flows_out_->flush();
   if (stalls_out_ != nullptr) stalls_out_->flush();
-}
-
-namespace {
-
-template <typename Fn>
-void write_file(const std::string& path,
-                const std::vector<FlowAnalysis>& flows, Fn fn) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("csv: cannot open " + path);
-  fn(out, flows);
-  if (!out) throw std::runtime_error("csv: write failed for " + path);
-}
-
-}  // namespace
-
-void write_flows_csv_file(const std::string& path,
-                          const std::vector<FlowAnalysis>& flows) {
-  write_file(path, flows,
-             [](std::ostream& o, const auto& f) { write_flows_csv(o, f); });
-}
-
-void write_stalls_csv_file(const std::string& path,
-                           const std::vector<FlowAnalysis>& flows) {
-  write_file(path, flows,
-             [](std::ostream& o, const auto& f) { write_stalls_csv(o, f); });
+  if (!*flows_out_ || (stalls_out_ != nullptr && !*stalls_out_)) {
+    throw std::runtime_error("csv: write failed");
+  }
 }
 
 }  // namespace tapo::analysis

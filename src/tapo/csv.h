@@ -5,42 +5,33 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "tapo/analyzer.h"
 #include "tapo/sink.h"
 
 namespace tapo::analysis {
 
-/// One row per flow: transfer stats, RTT/RTO, stall totals.
-/// Columns: flow,server,client,bytes,segments,retrans,timeout_retrans,
-/// fast_retrans,spurious,transmission_s,stalled_s,stall_ratio,avg_rtt_ms,
-/// avg_rto_ms,avg_speed_Bps,init_rwnd_bytes,had_zero_rwnd,stalls
-void write_flows_csv(std::ostream& out, const std::vector<FlowAnalysis>& flows);
-
-/// One row per stall: flow,start_s,duration_s,cause,retrans_cause,
-/// f_double,state,in_flight,rel_position
-void write_stalls_csv(std::ostream& out, const std::vector<FlowAnalysis>& flows);
-
-/// Convenience file writers; throw std::runtime_error on I/O failure.
-void write_flows_csv_file(const std::string& path,
-                          const std::vector<FlowAnalysis>& flows);
-void write_stalls_csv_file(const std::string& path,
-                           const std::vector<FlowAnalysis>& flows);
-
-/// Streaming CSV writer on the shared tapo::FlowSink API: plugs into the
-/// parallel experiment runner and the LiveAnalyzer alike, emitting the same
-/// rows as write_flows_csv / write_stalls_csv without ever buffering the
-/// per-flow analyses. Flow ids are the FlowResult indices, so runner output
-/// matches the buffered writer line for line. Streams must outlive the
-/// sink; pass nullptr for stalls_out to skip the per-stall table.
+/// The one CSV writer, a tapo::FlowSink: plugs into the parallel
+/// experiment runner and the LiveAnalyzer alike and writes each flow's rows
+/// as it arrives, never buffering the per-flow analyses. Flow ids are the
+/// FlowResult indices. Streams must outlive the sink; pass nullptr for
+/// stalls_out to skip the per-stall table.
+///
+/// flows_out, one row per flow: flow,server,client,bytes,segments,retrans,
+/// timeout_retrans,fast_retrans,spurious,transmission_s,stalled_s,
+/// stall_ratio,avg_rtt_ms,avg_rto_ms,avg_speed_Bps,init_rwnd_bytes,
+/// had_zero_rwnd,stalls
+///
+/// stalls_out, one row per stall: flow,start_s,duration_s,cause,
+/// retrans_cause,f_double,state,in_flight,rel_position
 class CsvSink : public FlowSink {
  public:
   explicit CsvSink(std::ostream& flows_out, std::ostream* stalls_out = nullptr);
 
   void consume(FlowResult&& result) override;
-  void finish(const RunStats& stats) override;  // flushes both streams
+  /// Flushes both streams; throws std::runtime_error if either has failed
+  /// (unopenable file, write error, full disk).
+  void finish(const RunStats& stats) override;
 
  private:
   std::ostream* flows_out_;

@@ -82,13 +82,6 @@ void count_flow_event(const char* which) {
 
 }  // namespace
 
-LiveAnalyzer::LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done)
-    : config_(config),
-      on_flow_done_(std::move(on_flow_done)),
-      analyzer_(config.analyzer) {
-  config_.validate();
-}
-
 LiveAnalyzer::LiveAnalyzer(LiveConfig config, FlowSink& sink)
     : config_(config), sink_(&sink), analyzer_(config.analyzer) {
   config_.validate();
@@ -146,19 +139,15 @@ void LiveAnalyzer::finalize(const net::FlowKey& key) {
   stats_.pending_packets -= entry.pending.size();
   // A flow that never settled is oriented now, over all its packets, and
   // goes through the same push fold.
-  FlowAnalysis fa = entry.mimic ? entry.mimic->finish()
-                                : analyzer_.analyze_flow(make_flow_view(
-                                      entry.pending.packets(), config_.demux));
+  delivery_.analyses.clear();  // keeps the capacity a sink left behind
+  delivery_.analyses.push_back(
+      entry.mimic ? entry.mimic->finish()
+                  : analyzer_.analyze_flow(make_flow_view(
+                        entry.pending.packets(), config_.demux)));
+  delivery_.index = sink_ordinal_++;
+  delivery_.packets = entry.packets;
   delivering_ordinal_ = entry.ordinal;
-  if (on_flow_done_) {
-    on_flow_done_(std::move(fa));
-  } else if (sink_ != nullptr) {
-    FlowResult fr;
-    fr.index = sink_ordinal_++;
-    fr.packets = entry.packets;
-    fr.analyses.push_back(std::move(fa));
-    sink_->consume(std::move(fr));
-  }
+  sink_->consume(std::move(delivery_));
   if (config_.mem_budget != nullptr && entry.charged_bytes != 0) {
     config_.mem_budget->release(entry.charged_bytes);
     stats_.flow_bytes -= entry.charged_bytes;
@@ -183,9 +172,10 @@ void LiveAnalyzer::recharge(Entry& entry) {
 std::size_t LiveAnalyzer::soft_limit() const {
   // Evict down to half the cap, not the cap itself: the headroom absorbs
   // what lives outside the ledger (allocator slack, a never-settled flow's
-  // orientation pass, the analyses handed to the callback). This is what
-  // keeps the allocator-measured process peak, not just the ledger, under
-  // the cap (bench/streaming_scale gates exactly that).
+  // orientation pass, the analysis being delivered to the sink). This is
+  // what keeps the allocator-measured peak of the streaming pipeline, not
+  // just the ledger, under the cap (bench/streaming_scale gates exactly
+  // that), provided the sink keeps nothing per flow.
   return config_.mem_budget->limit() / 2;
 }
 
@@ -320,12 +310,9 @@ void LiveAnalyzer::add_chunk(const net::TraceChunk& chunk) {
 void LiveAnalyzer::flush() {
   while (!lru_.empty()) finalize(lru_.front());
   set_active_flows(0);
-  if (sink_ != nullptr) {
-    RunStats rs;
-    rs.flows = sink_ordinal_;
-    rs.threads = 1;
-    sink_->finish(rs);
-  }
+  RunStats rs;
+  rs.flows = sink_ordinal_;
+  sink_->finish(rs);
 }
 
 }  // namespace tapo::analysis

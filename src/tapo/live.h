@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -90,23 +89,19 @@ struct LiveStats {
 
 class LiveAnalyzer {
  public:
-  /// Called with the completed analysis whenever a flow is finalized; the
-  /// analysis is handed over, so a callback may move it out.
-  using FlowDoneFn = std::function<void(FlowAnalysis&&)>;
-
-  explicit LiveAnalyzer(LiveConfig config, FlowDoneFn on_flow_done);
-  // Pinned: every flow's mimic refers to this analyzer's config.
-  LiveAnalyzer(const LiveAnalyzer&) = delete;
-  LiveAnalyzer& operator=(const LiveAnalyzer&) = delete;
-
   /// Streams finalized flows into a tapo::FlowSink — the same delivery API
   /// the parallel experiment runner uses, so one sink implementation (an
   /// aggregator, a CSV writer) serves both producers. Each finalized flow
   /// becomes one FlowResult{index = finalize ordinal, analyses, packets};
-  /// the simulation-only outcome fields stay default. flush() calls
-  /// sink.finish() once with the flows-finalized total. The sink must
-  /// outlive the analyzer.
+  /// the simulation-only outcome fields stay default. The FlowResult is
+  /// refilled in place for every flow, so a sink that moves out only the
+  /// analysis costs no allocation per flow. flush() calls sink.finish()
+  /// once with the flows-finalized total. The sink must outlive the
+  /// analyzer.
   LiveAnalyzer(LiveConfig config, FlowSink& sink);
+  // Pinned: every flow's mimic refers to this analyzer's config.
+  LiveAnalyzer(const LiveAnalyzer&) = delete;
+  LiveAnalyzer& operator=(const LiveAnalyzer&) = delete;
 
   /// Feeds one packet. Packets must arrive in (roughly) capture order;
   /// the packet's timestamp drives idle-timeout bookkeeping.
@@ -117,16 +112,16 @@ class LiveAnalyzer {
   /// call except in the pending trace of a not-yet-settled flow.
   void add_chunk(const net::TraceChunk& chunk);
 
-  /// Finalizes every remaining flow (end of capture / shutdown). With a
-  /// FlowSink attached, also invokes its finish() — call flush() once.
+  /// Finalizes every remaining flow (end of capture / shutdown), then
+  /// invokes the sink's finish() — call flush() once.
   void flush();
 
   const LiveStats& stats() const { return stats_; }
 
-  /// Within a delivery (on_flow_done or the sink's consume): the creation
-  /// ordinal of the entry being finalized. Entries are numbered 0, 1, ...
-  /// as they are created, so an unbounded run, where each connection has
-  /// one entry, numbers its flows in first-packet order.
+  /// Within a delivery (the sink's consume): the creation ordinal of the
+  /// entry being finalized. Entries are numbered 0, 1, ... as they are
+  /// created, so an unbounded run, where each connection has one entry,
+  /// numbers its flows in first-packet order.
   std::size_t delivering_flow_ordinal() const { return delivering_ordinal_; }
 
  private:
@@ -144,11 +139,13 @@ class LiveAnalyzer {
   };
   using FlowTable = std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash>;
 
-  /// Ledger charge per tracked flow beyond its mimic and pending packets
-  /// (hash-table slot, LRU node, Entry bookkeeping). A coarse constant: the
-  /// point is that a million tiny flows still register, not byte-exact
-  /// malloc math.
-  static constexpr std::size_t kFlowOverheadBytes = 512;
+  /// Ledger charge per tracked flow beyond the heap bytes of its mimic and
+  /// pending trace, derived from the types that hold it. Allocator headers
+  /// are not counted.
+  static constexpr std::size_t kFlowOverheadBytes =
+      sizeof(FlowTable::value_type) +  // key and Entry, mimic inline
+      3 * sizeof(void*) +  // hash node: next link, cached hash; bucket slot
+      2 * sizeof(void*) + sizeof(net::FlowKey);  // LRU node
 
   /// Creates `key`'s entry at the LRU back.
   FlowTable::iterator start_entry(const net::FlowKey& key);
@@ -173,9 +170,9 @@ class LiveAnalyzer {
   void update_resident_gauge();
 
   LiveConfig config_;
-  FlowDoneFn on_flow_done_;
-  FlowSink* sink_ = nullptr;        // optional streaming delivery target
-  std::size_t sink_ordinal_ = 0;    // FlowResult::index for the next flow
+  FlowSink* sink_;
+  FlowResult delivery_;              // refilled for every finalized flow
+  std::size_t sink_ordinal_ = 0;     // FlowResult::index for the next flow
   std::size_t next_entry_ordinal_ = 0;
   std::size_t delivering_ordinal_ = 0;
   Analyzer analyzer_;

@@ -102,34 +102,30 @@ RetransBreakdown make_retrans_breakdown(
   return bd;
 }
 
+void ServiceSummary::add(const FlowAnalysis& f) {
+  ++flows;
+  speed_sum_ += f.avg_speed_Bps;
+  bytes_sum_ += static_cast<double>(f.unique_bytes);
+  data_ += f.data_segments;
+  retrans_ += f.retrans_segments;
+  if (f.avg_rtt_us > 0) {
+    rtt_sum_ += f.avg_rtt_us;
+    ++rtt_flows_;
+  }
+  if (f.avg_rto_us > 0) {
+    rto_sum_ += f.avg_rto_us;
+    ++rto_flows_;
+  }
+  avg_speed_Bps = speed_sum_ / static_cast<double>(flows);
+  avg_flow_bytes = bytes_sum_ / static_cast<double>(flows);
+  pkt_loss = frac(retrans_, data_);
+  if (rtt_flows_) avg_rtt_us = rtt_sum_ / static_cast<double>(rtt_flows_);
+  if (rto_flows_) avg_rto_us = rto_sum_ / static_cast<double>(rto_flows_);
+}
+
 ServiceSummary make_service_summary(const std::vector<FlowAnalysis>& flows) {
   ServiceSummary s;
-  double speed_sum = 0, bytes_sum = 0, rtt_sum = 0, rto_sum = 0;
-  std::uint64_t data = 0, retrans = 0, rtt_flows = 0, rto_flows = 0;
-  for (const auto& f : flows) {
-    ++s.flows;
-    speed_sum += f.avg_speed_Bps;
-    bytes_sum += static_cast<double>(f.unique_bytes);
-    data += f.data_segments;
-    retrans += f.retrans_segments;
-    if (f.avg_rtt_us > 0) {
-      rtt_sum += f.avg_rtt_us;
-      ++rtt_flows;
-    }
-    if (f.avg_rto_us > 0) {
-      rto_sum += f.avg_rto_us;
-      ++rto_flows;
-    }
-  }
-  if (s.flows > 0) {
-    speed_sum /= static_cast<double>(s.flows);
-    bytes_sum /= static_cast<double>(s.flows);
-  }
-  s.avg_speed_Bps = speed_sum;
-  s.avg_flow_bytes = bytes_sum;
-  s.pkt_loss = frac(retrans, data);
-  if (rtt_flows) s.avg_rtt_us = rtt_sum / static_cast<double>(rtt_flows);
-  if (rto_flows) s.avg_rto_us = rto_sum / static_cast<double>(rto_flows);
+  for (const auto& f : flows) s.add(f);
   return s;
 }
 

@@ -51,14 +51,21 @@ struct RetransBreakdown {
   double time_fraction(RetransCause c) const;
 };
 
-/// Table 1-style service summary.
+/// Table 1-style service summary. Built incrementally with add(); the
+/// averages are current after every add.
 struct ServiceSummary {
   std::uint64_t flows = 0;
   double avg_speed_Bps = 0.0;
   double avg_flow_bytes = 0.0;
   double pkt_loss = 0.0;  // retransmitted / sent data segments
-  double avg_rtt_us = 0.0;
-  double avg_rto_us = 0.0;
+  double avg_rtt_us = 0.0;  // over flows with an RTT sample
+  double avg_rto_us = 0.0;  // over flows with an RTO estimate
+
+  void add(const FlowAnalysis& flow);
+
+ private:
+  double speed_sum_ = 0.0, bytes_sum_ = 0.0, rtt_sum_ = 0.0, rto_sum_ = 0.0;
+  std::uint64_t data_ = 0, retrans_ = 0, rtt_flows_ = 0, rto_flows_ = 0;
 };
 
 StallBreakdown make_stall_breakdown(const std::vector<FlowAnalysis>& flows);

@@ -1,13 +1,13 @@
 // The shared result-delivery surface: one FlowResult shape and one FlowSink
-// abstraction, consumed identically by the parallel experiment runner
-// (workload/runner.h), the streaming LiveAnalyzer (tapo/live.h), and the
-// CSV exporters (tapo/csv.h). A sink written once — an aggregator, a CSV
-// writer, a dashboard feeder — plugs into any of the three producers.
+// abstraction. The parallel experiment runner (workload/runner.h) and the
+// streaming LiveAnalyzer (tapo/live.h), and through it Analyzer::analyze,
+// deliver every flow through a FlowSink and no other way; CsvSink
+// (tapo/csv.h) is the CSV writer. A sink written once — an aggregator, a
+// CSV writer, a dashboard feeder — plugs into either producer.
 //
 // These types live in namespace tapo (not tapo::workload) because the
 // streaming analyzer sits below the workload layer: tapo_core must not
-// depend on tapo_workload. The workload namespace re-exports them under
-// their historical names, so existing callers compile unchanged.
+// depend on tapo_workload.
 //
 // Ordering contract (all producers honor it): consume() is invoked exactly
 // once per flow, in ascending index order, from one thread at a time —

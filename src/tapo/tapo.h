@@ -17,9 +17,9 @@
 //   auto res = tapo::workload::run_experiment(cfg);
 //
 // Result delivery is unified on tapo::FlowSink (tapo/sink.h): the parallel
-// ParallelRunner, the streaming LiveAnalyzer, and the CSV writers
-// (analysis::CsvSink) all produce/consume the same FlowResult stream, so a
-// sink written once (aggregator, CSV exporter, custom) works offline,
+// ParallelRunner and the streaming LiveAnalyzer deliver every flow as a
+// FlowResult to a sink, and analysis::CsvSink is the one CSV writer, so a
+// sink written once (aggregator, CSV writer, custom) works offline,
 // parallel, and live. Capture realism lives in sim::CaptureChannel
 // (sim/capture_channel.h), wired into experiments via
 // ExperimentConfig::with_impairments; the analyzer reports per-flow

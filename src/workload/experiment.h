@@ -6,11 +6,11 @@
 // different recovery mechanism replays the *same* workload — the paper's
 // production A/B methodology for Table 8/9 (§5.2).
 //
-// `run_experiment` here is the buffering compatibility layer: it collects
-// every per-flow result into one ExperimentResult. Large sweeps should use
-// the streaming `ParallelRunner` + `FlowSink` API in workload/runner.h,
-// which shards flows across a worker pool and never needs to materialize
-// all analyses at once.
+// `run_experiment` here buffers: it collects every per-flow result into one
+// ExperimentResult, which the paper benches read. Large sweeps should use
+// the streaming `ParallelRunner` + `tapo::FlowSink` API in
+// workload/runner.h, which shards flows across a worker pool and never
+// needs to materialize all analyses at once.
 #pragma once
 
 #include <cstdint>
@@ -114,10 +114,6 @@ struct ExperimentConfig {
   /// the silent-empty-tables failure mode), or a non-positive flow cap.
   void validate() const;
 };
-
-/// Re-export: the outcome shape lives in tapo/sink.h so the streaming
-/// LiveAnalyzer (below the workload layer) can deliver the same FlowResult.
-using FlowOutcome = tapo::FlowOutcome;
 
 struct ExperimentResult {
   std::vector<FlowOutcome> outcomes;

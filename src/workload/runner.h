@@ -35,13 +35,6 @@
 
 namespace tapo::workload {
 
-// Re-exports: the result/sink surface lives in tapo/sink.h so the
-// streaming LiveAnalyzer and the CSV writers share it (one delivery API
-// for offline, parallel, and live analysis). Historical names preserved.
-using FlowResult = tapo::FlowResult;
-using RunStats = tapo::RunStats;
-using FlowSink = tapo::FlowSink;
-
 struct RunOptions {
   /// Worker threads: 1 = serial in the calling thread (no pool), 0 = all
   /// hardware threads. Clamped to the flow count.

@@ -225,7 +225,8 @@ TEST(AnalyzerExtra, UmbrellaHeaderTypesUsable) {
   const auto res = workload::run_experiment(cfg);
   EXPECT_EQ(res.analyses.size(), 2u);
   std::stringstream ss;
-  write_flows_csv(ss, res.analyses);
+  CsvSink csv(ss);
+  workload::ParallelRunner(cfg, {}).run(csv);
   EXPECT_FALSE(ss.str().empty());
 }
 

@@ -11,9 +11,11 @@
 #include "net/ipv4.h"
 #include "pcap/pcap.h"
 #include "sim/capture_channel.h"
+#include "support/analysis_collector.h"
 #include "tapo/csv.h"
 #include "tapo/live.h"
 #include "tapo/tapo.h"
+#include "util/strings.h"
 #include "workload/experiment.h"
 #include "workload/runner.h"
 
@@ -373,31 +375,13 @@ TEST(ConfigBuilders, LiveConfigValidates) {
 
   analysis::LiveConfig bad;
   bad.max_flows = 0;
-  EXPECT_THROW(analysis::LiveAnalyzer(bad, nullptr), std::invalid_argument);
+  test::AnalysisCollector sink;
+  EXPECT_THROW(analysis::LiveAnalyzer(bad, sink), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // Unified FlowSink delivery surface
 // ---------------------------------------------------------------------------
-
-class CountingSink : public FlowSink {
- public:
-  void consume(FlowResult&& result) override {
-    ++consumed_;
-    analyses_ += result.analyses.size();
-    last_index_ = result.index;
-  }
-  void finish(const RunStats& stats) override {
-    ++finished_;
-    finish_flows_ = stats.flows;
-  }
-
-  std::size_t consumed_ = 0;
-  std::size_t analyses_ = 0;
-  std::size_t last_index_ = 0;
-  std::size_t finished_ = 0;
-  std::uint64_t finish_flows_ = 0;
-};
 
 TEST(SinkUnification, LiveAnalyzerFeedsFlowSink) {
   // Capture one simulated flow and stream its packets through the live
@@ -411,18 +395,19 @@ TEST(SinkUnification, LiveAnalyzerFeedsFlowSink) {
   ASSERT_TRUE(outcome.trace.has_value());
   ASSERT_GT(outcome.trace->size(), 0u);
 
-  CountingSink sink;
+  test::AnalysisCollector sink;
   analysis::LiveAnalyzer live(analysis::LiveConfig{}, sink);
   for (const auto& pkt : outcome.trace->packets()) live.add_packet(pkt);
   live.flush();
 
-  EXPECT_GE(sink.consumed_, 1u);
-  EXPECT_GE(sink.analyses_, 1u);
-  EXPECT_EQ(sink.finished_, 1u);
-  EXPECT_EQ(sink.finish_flows_, sink.consumed_);
+  EXPECT_GE(sink.flows.size(), 1u);
+  EXPECT_EQ(sink.finished, 1u);
+  EXPECT_EQ(sink.finished_flows, sink.flows.size());
 }
 
-TEST(SinkUnification, CsvSinkMatchesBatchWriters) {
+TEST(SinkUnification, CsvSinkStreamsWhatTheRunnerCollects) {
+  // CsvSink fed live by the parallel runner writes the same bytes as
+  // CsvSink fed the collected analyses afterwards, one FlowResult per flow.
   auto cfg = workload::ExperimentConfig{}
                  .with_profile(
                      workload::profile_for(workload::Service::kWebSearch))
@@ -432,21 +417,32 @@ TEST(SinkUnification, CsvSinkMatchesBatchWriters) {
   workload::CollectingSink collecting;
   workload::ParallelRunner(cfg, {}).run(collecting);
   const auto result = collecting.take();
-  // The streaming sink ids rows by flow index; the batch writer by dense
-  // analysis order. They coincide exactly when every flow analyzed.
   ASSERT_EQ(result.analyses.size(), cfg.flows);
 
-  std::ostringstream batch_flows, batch_stalls;
-  analysis::write_flows_csv(batch_flows, result.analyses);
-  analysis::write_stalls_csv(batch_stalls, result.analyses);
+  std::ostringstream replay_flows, replay_stalls;
+  {
+    analysis::CsvSink csv(replay_flows, &replay_stalls);
+    for (std::size_t i = 0; i < result.analyses.size(); ++i) {
+      FlowResult fr;
+      fr.index = i;
+      fr.analyses.push_back(result.analyses[i]);
+      csv.consume(std::move(fr));
+    }
+    csv.finish(RunStats{});
+  }
 
   std::ostringstream live_flows, live_stalls;
   {
     analysis::CsvSink csv(live_flows, &live_stalls);
     workload::ParallelRunner(cfg, {}).run(csv);
   }
-  EXPECT_EQ(batch_flows.str(), live_flows.str());
-  EXPECT_EQ(batch_stalls.str(), live_stalls.str());
+  EXPECT_EQ(replay_flows.str(), live_flows.str());
+  EXPECT_EQ(replay_stalls.str(), live_stalls.str());
+  // One row per flow (plus header), one per stall.
+  std::size_t stalls = 0;
+  for (const auto& fa : result.analyses) stalls += fa.stalls.size();
+  EXPECT_EQ(split(live_flows.str(), '\n').size(), cfg.flows + 2);
+  EXPECT_EQ(split(live_stalls.str(), '\n').size(), stalls + 2);
 }
 
 // ---------------------------------------------------------------------------

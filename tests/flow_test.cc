@@ -3,8 +3,10 @@
 // and handshake parameter extraction (make_flow_view).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "support/analysis_collector.h"
 #include "tapo/analyzer.h"
 #include "tapo/live.h"
 
@@ -24,12 +26,6 @@ net::CapturedPacket pkt(std::int64_t us, std::uint32_t sip, std::uint32_t dip,
   return p;
 }
 
-/// Collects what the live flow table finalizes, one FlowResult per flow.
-struct CollectSink : FlowSink {
-  std::vector<FlowResult> flows;
-  void consume(FlowResult&& r) override { flows.push_back(std::move(r)); }
-};
-
 TEST(Demux, SplitsByFourTuple) {
   net::PacketTrace trace;
   // Two connections, interleaved.
@@ -42,13 +38,11 @@ TEST(Demux, SplitsByFourTuple) {
   EXPECT_EQ(result.flows[0].key, (net::FlowKey{20, 10, 80, 1111}));
   EXPECT_EQ(result.flows[1].key, (net::FlowKey{20, 11, 80, 2222}));
 
-  CollectSink sink;
+  test::AnalysisCollector sink;
   LiveAnalyzer live(LiveConfig{}, sink);
   for (const net::CapturedPacket& p : trace.packets()) live.add_packet(p);
   live.flush();
-  ASSERT_EQ(sink.flows.size(), 2u);
-  EXPECT_EQ(sink.flows[0].packets, 2u);
-  EXPECT_EQ(sink.flows[1].packets, 2u);
+  EXPECT_EQ(sink.packets, (std::vector<std::uint64_t>{2, 2}));
 }
 
 TEST(Demux, BothDirectionsSameFlow) {
@@ -101,13 +95,12 @@ TEST(Demux, ServerPortOptionOverrides) {
   EXPECT_EQ(Analyzer{}.analyze(trace).flows[0].key.src_port, 1111);
 
   // The live path honours the option too.
-  std::vector<FlowAnalysis> done;
-  LiveAnalyzer live(LiveConfig{}.with_demux(opts),
-                    [&done](const FlowAnalysis& fa) { done.push_back(fa); });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(LiveConfig{}.with_demux(opts), sink);
   for (const net::CapturedPacket& p : trace.packets()) live.add_packet(p);
   live.flush();
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].key.src_port, 8080);
+  ASSERT_EQ(sink.flows.size(), 1u);
+  EXPECT_EQ(sink.flows[0].key.src_port, 8080);
 }
 
 TEST(Demux, HandshakeParamsExtracted) {

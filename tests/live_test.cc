@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "support/analysis_collector.h"
 #include "tapo/live.h"
 #include "workload/experiment.h"
 
@@ -47,12 +48,14 @@ TEST(Live, MatchesOfflineAnalysis) {
   }
 
   // Live run over the same packets.
-  std::map<std::string, std::size_t> live_stalls;
-  LiveAnalyzer live({}, [&](const FlowAnalysis& fa) {
-    live_stalls[fa.key.to_string()] = fa.stalls.size();
-  });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
   for (const auto& pkt : trace.packets()) live.add_packet(pkt);
   live.flush();
+  std::map<std::string, std::size_t> live_stalls;
+  for (const auto& fa : sink.flows) {
+    live_stalls[fa.key.to_string()] = fa.stalls.size();
+  }
 
   EXPECT_EQ(live.stats().packets, trace.size());
   EXPECT_EQ(live_stalls, ref_stalls);
@@ -61,23 +64,23 @@ TEST(Live, MatchesOfflineAnalysis) {
 
 TEST(Live, FinLingerFinalizesPromptly) {
   const auto trace = sample_trace(3, 21, Duration::seconds(30.0));
-  std::size_t done = 0;
+  test::AnalysisCollector sink;
   LiveConfig cfg;
   cfg.fin_linger = Duration::seconds(1.0);
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  LiveAnalyzer live(cfg, sink);
   for (const auto& pkt : trace.packets()) live.add_packet(pkt);
   // The trace interleaves flows spanning seconds; earlier FIN'd flows are
   // finalized before the feed ends.
-  EXPECT_GE(done, 1u);
+  EXPECT_GE(sink.flows.size(), 1u);
   live.flush();
-  EXPECT_EQ(done, 3u);
+  EXPECT_EQ(sink.flows.size(), 3u);
 }
 
 TEST(Live, IdleTimeoutWithoutFin) {
   LiveConfig cfg;
   cfg.idle_timeout = Duration::seconds(5.0);
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
 
   auto pkt_at = [](std::int64_t us, std::uint16_t sport) {
     net::CapturedPacket p;
@@ -91,15 +94,15 @@ TEST(Live, IdleTimeoutWithoutFin) {
   live.add_packet(pkt_at(100, 1000));
   // A second flow starts much later: the first idles out.
   live.add_packet(pkt_at(10'000'000, 2000));
-  EXPECT_EQ(done, 1u);
+  EXPECT_EQ(sink.flows.size(), 1u);
   EXPECT_EQ(live.stats().active_flows, 1u);
 }
 
 TEST(Live, LruEvictionBoundsTable) {
   LiveConfig cfg;
   cfg.max_flows = 4;
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (std::uint16_t port = 1; port <= 10; ++port) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(port * 1000);
@@ -110,16 +113,16 @@ TEST(Live, LruEvictionBoundsTable) {
   }
   EXPECT_LE(live.stats().active_flows, 4u);
   EXPECT_EQ(live.stats().flows_evicted, 6u);
-  EXPECT_EQ(done, 6u);
+  EXPECT_EQ(sink.flows.size(), 6u);
   live.flush();
-  EXPECT_EQ(done, 10u);
+  EXPECT_EQ(sink.flows.size(), 10u);
 }
 
 TEST(Live, ElephantFlowTruncated) {
   LiveConfig cfg;
   cfg.max_packets_per_flow = 50;
-  std::size_t done = 0;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis&) { ++done; });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (int i = 0; i < 120; ++i) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(i * 100);
@@ -130,19 +133,16 @@ TEST(Live, ElephantFlowTruncated) {
     live.add_packet(p);
   }
   EXPECT_EQ(live.stats().truncated_flows, 2u);  // at 50 and 100 packets
-  EXPECT_EQ(done, 2u);
+  EXPECT_EQ(sink.flows.size(), 2u);
   live.flush();
-  EXPECT_EQ(done, 3u);
+  EXPECT_EQ(sink.flows.size(), 3u);
 }
 
 TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
   LiveConfig cfg;
   cfg.max_flows = 2;
-  std::vector<std::uint16_t> evicted_ports;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis& fa) {
-    evicted_ports.push_back(fa.key.src_port == 80 ? fa.key.dst_port
-                                                  : fa.key.src_port);
-  });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   auto pkt = [](std::int64_t us, std::uint16_t port) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(us);
@@ -156,6 +156,11 @@ TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
   live.add_packet(pkt(2000, 1));  // touch A: B is now least recently active
   live.add_packet(pkt(3000, 3));  // flow C -> evicts B, not A
   live.add_packet(pkt(4000, 4));  // flow D -> evicts A
+  std::vector<std::uint16_t> evicted_ports;
+  for (const auto& fa : sink.flows) {
+    evicted_ports.push_back(fa.key.src_port == 80 ? fa.key.dst_port
+                                                  : fa.key.src_port);
+  }
   EXPECT_EQ(evicted_ports, (std::vector<std::uint16_t>{2, 1}));
   EXPECT_EQ(live.stats().flows_evicted, 2u);
   EXPECT_EQ(live.stats().active_flows, 2u);
@@ -164,9 +169,8 @@ TEST(Live, LruEvictionOrderIsLeastRecentlyActive) {
 TEST(Live, EvictedFlowStillProducesAnalysis) {
   LiveConfig cfg;
   cfg.max_flows = 1;
-  std::vector<FlowAnalysis> analyses;
-  LiveAnalyzer live(cfg,
-                    [&](const FlowAnalysis& fa) { analyses.push_back(fa); });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   // Give the evicted flow real content: three data packets from the server
   // endpoint so its analysis has observable segments.
   for (int i = 0; i < 3; ++i) {
@@ -186,8 +190,8 @@ TEST(Live, EvictedFlowStillProducesAnalysis) {
   live.add_packet(other);  // table full -> first flow evicted
 
   EXPECT_EQ(live.stats().flows_evicted, 1u);
-  ASSERT_EQ(analyses.size(), 1u);  // eviction went through full analysis
-  const FlowAnalysis& fa = analyses.front();
+  ASSERT_EQ(sink.flows.size(), 1u);  // eviction went through full analysis
+  const FlowAnalysis& fa = sink.flows.front();
   EXPECT_TRUE(fa.key.src_port == 80 || fa.key.dst_port == 80);
   EXPECT_EQ(fa.data_segments, 3u);
   EXPECT_EQ(fa.unique_bytes, 300u);
@@ -196,10 +200,8 @@ TEST(Live, EvictedFlowStillProducesAnalysis) {
 TEST(Live, TruncationAccounting) {
   LiveConfig cfg;
   cfg.max_packets_per_flow = 10;
-  std::vector<std::uint64_t> segment_counts;
-  LiveAnalyzer live(cfg, [&](const FlowAnalysis& fa) {
-    segment_counts.push_back(fa.data_segments);
-  });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(cfg, sink);
   for (int i = 0; i < 25; ++i) {
     net::CapturedPacket p;
     p.timestamp = TimePoint::from_us(i * 100);
@@ -215,12 +217,15 @@ TEST(Live, TruncationAccounting) {
   live.flush();
   EXPECT_EQ(live.stats().truncated_flows, 2u);  // flush is not a truncation
   EXPECT_EQ(live.stats().flows_finalized, 3u);
+  std::vector<std::uint64_t> segment_counts;
+  for (const auto& fa : sink.flows) segment_counts.push_back(fa.data_segments);
   EXPECT_EQ(segment_counts, (std::vector<std::uint64_t>{10, 10, 5}));
   EXPECT_EQ(live.stats().packets, 25u);
 }
 
 TEST(Live, PeakActiveFlowsSurvivesFlush) {
-  LiveAnalyzer live({}, nullptr);
+  test::AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
   // Three flows interleaved in time, none closed: all three are open at
   // once before flush() finalizes them.
   for (int round = 0; round < 4; ++round) {
@@ -242,9 +247,12 @@ TEST(Live, PeakActiveFlowsSurvivesFlush) {
 }
 
 TEST(Live, FlushOnEmptyIsSafe) {
-  LiveAnalyzer live({}, nullptr);
+  test::AnalysisCollector sink;
+  LiveAnalyzer live({}, sink);
   EXPECT_NO_THROW(live.flush());
   EXPECT_EQ(live.stats().flows_finalized, 0u);
+  EXPECT_TRUE(sink.flows.empty());
+  EXPECT_EQ(sink.finished, 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "net/ipv4.h"
 #include "pcap/pcap.h"
 #include "sim/capture_channel.h"
+#include "support/analysis_collector.h"
 #include "tapo/analyzer.h"
 #include "tapo/live.h"
 #include "util/memory_budget.h"
@@ -149,9 +150,8 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
           .with_max_flows(std::numeric_limits<std::size_t>::max())
           .with_max_packets_per_flow(std::numeric_limits<std::size_t>::max())
           .with_mem_budget(budget);
-  AnalysisResult result;
-  LiveAnalyzer live(config, LiveAnalyzer::FlowDoneFn(
-      [&result](const FlowAnalysis& fa) { result.flows.push_back(fa); }));
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(config, sink);
 
   std::unordered_map<net::FlowKey, std::size_t, net::FlowKeyHash> first_seen;
   pcap::StreamingReader reader(
@@ -165,6 +165,8 @@ AnalysisResult analyze_via_streaming_pipeline(const net::PacketTrace& trace,
   }
   live.flush();
   if (stats_out != nullptr) *stats_out = live.stats();
+  AnalysisResult result;
+  result.flows = std::move(sink.flows);
   std::stable_sort(result.flows.begin(), result.flows.end(),
                    [&first_seen](const FlowAnalysis& a, const FlowAnalysis& b) {
                      return first_seen.at(a.key.canonical()) <
@@ -689,17 +691,16 @@ net::PacketTrace one_flow(const workload::ServiceProfile& profile,
 template <typename AfterEach>
 FlowAnalysis live_one_flow(std::span<const net::CapturedPacket> packets,
                            util::MemoryBudget* budget, AfterEach after_each) {
-  std::vector<FlowAnalysis> done;
-  LiveAnalyzer live(LiveConfig{}.with_mem_budget(budget),
-                    [&done](FlowAnalysis&& fa) { done.push_back(fa); });
+  test::AnalysisCollector sink;
+  LiveAnalyzer live(LiveConfig{}.with_mem_budget(budget), sink);
   for (const net::CapturedPacket& p : packets) {
     live.add_packet(p);
     after_each(live.stats());
   }
   live.flush();
   EXPECT_EQ(live.stats().pending_packets, 0u);
-  EXPECT_EQ(done.size(), 1u);
-  return done.empty() ? FlowAnalysis{} : std::move(done.front());
+  EXPECT_EQ(sink.flows.size(), 1u);
+  return sink.flows.empty() ? FlowAnalysis{} : std::move(sink.flows.front());
 }
 
 TEST(StreamingMimic, LedgerChargeIsPerSegmentNotPerPacket) {
